@@ -4,10 +4,13 @@
 //! failure modes a long-lived service must survive are a **panic** (the
 //! thread dies) and a **wedge** (the thread lives but stops making
 //! progress). The supervisor handles both: every worker runs under
-//! `catch_unwind` and reports a heartbeat; the supervisor polls, restarts
-//! dead workers (bounded by a restart budget), and — since a `std` thread
-//! cannot be killed — *abandons* wedged ones after a watchdog timeout by
-//! cancelling their [`CancellationToken`] and spawning a replacement.
+//! `catch_unwind`, beats a heartbeat, and as its last act reports its exit
+//! on a channel. An exit wakes the supervisor at once to restart a dead
+//! worker (bounded by a restart budget) or to end a finished run; `poll`
+//! only paces the watchdog and timeout checks. Since a `std` thread cannot
+//! be killed, the watchdog *abandons* a wedged worker by cancelling its
+//! [`CancellationToken`] and spawning a replacement; the abandoned twin's
+//! exit report, whenever it comes, is dropped.
 //!
 //! Stages must therefore be written re-entrantly: all progress state lives
 //! in shared structures (queues, assembler, counters), so a replacement
@@ -17,7 +20,8 @@
 use crate::log::{ServiceEvent, ServiceLog};
 use emoleak_exec::CancellationToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,7 +33,8 @@ pub struct SupervisorConfig {
     /// How long a worker may go without beating its heartbeat before it is
     /// declared wedged and replaced.
     pub watchdog: Duration,
-    /// Supervisor polling cadence.
+    /// Cadence of the watchdog and `run_timeout` checks, and nothing else:
+    /// a worker exit wakes the supervisor at once.
     pub poll: Duration,
     /// Global bound on the whole run — the final liveness backstop: if the
     /// pipeline stops converging for any reason, the run ends with
@@ -147,13 +152,21 @@ struct Worker {
     stage: Stage,
     token: CancellationToken,
     heartbeat: Heartbeat,
-    done: Arc<AtomicBool>,
-    panic_message: Arc<Mutex<Option<String>>>,
     handle: Option<std::thread::JoinHandle<()>>,
     last_count: u64,
     last_progress: Instant,
+    /// The slot's restarts before this worker was spawned. Each spawn of a
+    /// slot counts one more, so this is also the worker's spawn id.
     restarts: u32,
     completed: bool,
+}
+
+/// A worker thread's last act: its slot, its spawn id, and the text of the
+/// panic that ended it, if one did.
+struct Exit {
+    slot: usize,
+    spawn_id: u32,
+    panic: Option<String>,
 }
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -166,36 +179,45 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn spawn(stage: &Stage) -> Worker {
+fn spawn(stage: &Stage, slot: usize, restarts: u32, exits: &Sender<Exit>) -> Worker {
     let token = CancellationToken::new();
     let heartbeat = Heartbeat::default();
-    let done = Arc::new(AtomicBool::new(false));
-    let panic_message: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let ctx = StageCtx { token: token.clone(), heartbeat: heartbeat.clone() };
     let work = Arc::clone(&stage.work);
-    let done_flag = Arc::clone(&done);
-    let message = Arc::clone(&panic_message);
+    let exits = exits.clone();
     let handle = std::thread::spawn(move || {
-        match catch_unwind(AssertUnwindSafe(|| work(&ctx))) {
-            Ok(()) => done_flag.store(true, Ordering::Release),
-            Err(payload) => {
-                *message.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some(panic_text(payload));
-            }
-        }
+        let panic = catch_unwind(AssertUnwindSafe(|| work(&ctx))).err().map(panic_text);
+        // Fails only when the supervisor has already returned.
+        let _ = exits.send(Exit { slot, spawn_id: restarts, panic });
     });
     Worker {
         stage: stage.clone(),
         token,
         heartbeat,
-        done,
-        panic_message,
         handle: Some(handle),
         last_count: 0,
         last_progress: Instant::now(),
-        restarts: 0,
+        restarts,
         completed: false,
     }
+}
+
+/// Replaces `w`, whose `restarts` already counts this restart, with a fresh
+/// spawn in `slot` — or fails once that is over the stage's budget. A
+/// wedged predecessor's handle is dropped, not joined: its thread is
+/// abandoned.
+fn respawn(
+    w: &mut Worker,
+    slot: usize,
+    config: &SupervisorConfig,
+    exits: &Sender<Exit>,
+) -> Result<(), SupervisionError> {
+    let (stage, restarts) = (w.stage.name, w.restarts);
+    if restarts > config.max_restarts {
+        return Err(SupervisionError::TooManyRestarts { stage, restarts });
+    }
+    *w = spawn(&w.stage, slot, restarts, exits);
+    Ok(())
 }
 
 /// Runs `stages` to completion under supervision.
@@ -208,118 +230,92 @@ fn spawn(stage: &Stage) -> Worker {
 /// [`SupervisionError::TooManyRestarts`] when a stage dies more than
 /// `max_restarts` times, [`SupervisionError::Stalled`] when the global
 /// `run_timeout` elapses first. Either way every worker token is cancelled
-/// before returning, so cooperating workers wind down.
+/// before returning, so cooperating workers wind down; genuinely wedged
+/// threads are left behind by design.
 pub fn supervise(
     stages: &[Stage],
     config: &SupervisorConfig,
     log: &Arc<Mutex<ServiceLog>>,
 ) -> Result<SupervisionReport, SupervisionError> {
+    let (exits_tx, exits) = mpsc::channel();
+    let mut workers: Vec<Worker> =
+        stages.iter().enumerate().map(|(slot, stage)| spawn(stage, slot, 0, &exits_tx)).collect();
+    let outcome = drive(&mut workers, config, log, &exits_tx, &exits);
+    if outcome.is_err() {
+        workers.iter().for_each(|w| w.token.cancel());
+    }
+    outcome
+}
+
+/// The loop of [`supervise`]: wakes on each exit report, and at least
+/// every `poll` for the watchdog and `run_timeout` checks.
+fn drive(
+    workers: &mut [Worker],
+    config: &SupervisorConfig,
+    log: &Arc<Mutex<ServiceLog>>,
+    exits_tx: &Sender<Exit>,
+    exits: &mpsc::Receiver<Exit>,
+) -> Result<SupervisionReport, SupervisionError> {
     let started = Instant::now();
     let mut report = SupervisionReport::default();
-    let mut workers: Vec<Worker> = stages.iter().map(spawn).collect();
-    let cancel_all = |workers: &mut [Worker]| {
-        for w in workers.iter() {
-            w.token.cancel();
-        }
-        // Join what can be joined so no cooperating worker outlives the
-        // call; genuinely wedged threads are left behind by design.
-        for w in workers.iter_mut() {
-            if let Some(h) = w.handle.take() {
-                if h.is_finished() {
-                    let _ = h.join();
-                }
-            }
-        }
-    };
     loop {
         if workers.iter().all(|w| w.completed) {
             return Ok(report);
         }
         if started.elapsed() >= config.run_timeout {
-            cancel_all(&mut workers);
             return Err(SupervisionError::Stalled);
         }
-        for i in 0..workers.len() {
-            let w = &mut workers[i];
+        // `exits_tx` outlives the loop, so this never sees a disconnect:
+        // it returns with an exit report, or empty once `poll` has passed.
+        if let Ok(Exit { slot, spawn_id, panic }) = exits.recv_timeout(config.poll) {
+            let w = &mut workers[slot];
+            if spawn_id != w.restarts {
+                continue; // an abandoned twin: its replacement owns the slot
+            }
+            if let Some(h) = w.handle.take() {
+                let _ = h.join();
+            }
+            let Some(message) = panic else {
+                w.completed = true;
+                continue;
+            };
+            w.restarts += 1;
+            report.panic_restarts += 1;
+            log.lock().unwrap_or_else(|e| e.into_inner()).push(ServiceEvent::WorkerPanicked {
+                stage: w.stage.name,
+                restarts: w.restarts,
+                message,
+            });
+            respawn(w, slot, config, exits_tx)?;
+        }
+        for (slot, w) in workers.iter_mut().enumerate() {
             if w.completed {
                 continue;
             }
-            let finished = w.handle.as_ref().is_none_or(|h| h.is_finished());
-            if finished {
-                if let Some(h) = w.handle.take() {
-                    let _ = h.join();
-                }
-                if w.done.load(Ordering::Acquire) {
-                    w.completed = true;
-                    continue;
-                }
-                // Panicked: restart if the budget allows.
+            // Watchdog: no heartbeat progress for too long → abandon.
+            let count = w.heartbeat.count();
+            if count != w.last_count {
+                w.last_count = count;
+                w.last_progress = Instant::now();
+            } else if w.last_progress.elapsed() >= config.watchdog {
+                w.token.cancel();
                 w.restarts += 1;
-                report.panic_restarts += 1;
-                let message = w
-                    .panic_message
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .unwrap_or_default();
-                log.lock().unwrap_or_else(|e| e.into_inner()).push(
-                    ServiceEvent::WorkerPanicked {
-                        stage: w.stage.name,
-                        restarts: w.restarts,
-                        message,
-                    },
-                );
-                if w.restarts > config.max_restarts {
-                    let err = SupervisionError::TooManyRestarts {
-                        stage: w.stage.name,
-                        restarts: w.restarts,
-                    };
-                    cancel_all(&mut workers);
-                    return Err(err);
-                }
-                let restarts = w.restarts;
-                let mut fresh = spawn(&w.stage);
-                fresh.restarts = restarts;
-                workers[i] = fresh;
-            } else {
-                // Watchdog: no heartbeat progress for too long → abandon.
-                let count = w.heartbeat.count();
-                if count != w.last_count {
-                    w.last_count = count;
-                    w.last_progress = Instant::now();
-                } else if w.last_progress.elapsed() >= config.watchdog {
-                    w.token.cancel();
-                    w.restarts += 1;
-                    report.watchdog_fires += 1;
-                    log.lock().unwrap_or_else(|e| e.into_inner()).push(
-                        ServiceEvent::WatchdogFired {
-                            stage: w.stage.name,
-                            restarts: w.restarts,
-                        },
-                    );
-                    if w.restarts > config.max_restarts {
-                        let err = SupervisionError::TooManyRestarts {
-                            stage: w.stage.name,
-                            restarts: w.restarts,
-                        };
-                        cancel_all(&mut workers);
-                        return Err(err);
-                    }
-                    let restarts = w.restarts;
-                    let mut fresh = spawn(&w.stage);
-                    fresh.restarts = restarts;
-                    workers[i] = fresh; // old handle dropped: thread abandoned
-                }
+                report.watchdog_fires += 1;
+                log.lock().unwrap_or_else(|e| e.into_inner()).push(ServiceEvent::WatchdogFired {
+                    stage: w.stage.name,
+                    restarts: w.restarts,
+                });
+                respawn(w, slot, config, exits_tx)?;
             }
         }
-        std::thread::sleep(config.poll);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     fn test_config() -> SupervisorConfig {
         SupervisorConfig {
@@ -330,8 +326,105 @@ mod tests {
         }
     }
 
+    /// A poll far longer than the runs it supervises: only exit reports can
+    /// end them in time.
+    fn slow_poll_config() -> SupervisorConfig {
+        SupervisorConfig {
+            poll: Duration::from_secs(20),
+            watchdog: Duration::from_secs(60),
+            ..SupervisorConfig::default()
+        }
+    }
+
     fn fresh_log() -> Arc<Mutex<ServiceLog>> {
         Arc::new(Mutex::new(ServiceLog::new()))
+    }
+
+    #[test]
+    fn clean_exits_end_the_run_without_waiting_out_the_poll() {
+        let log = fresh_log();
+        let stages: Vec<Stage> =
+            (0..3).map(|_| Stage::new("worker", |ctx| ctx.heartbeat.beat())).collect();
+        let t0 = Instant::now();
+        let report = supervise(&stages, &slow_poll_config(), &log).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+        assert_eq!(report, SupervisionReport::default());
+    }
+
+    #[test]
+    fn panic_exits_restart_the_stage_without_waiting_out_the_poll() {
+        let log = fresh_log();
+        let attempts = Arc::new(AtomicU32::new(0));
+        let a = Arc::clone(&attempts);
+        let stage = Stage::new("flaky", move |ctx| {
+            ctx.heartbeat.beat();
+            assert!(a.fetch_add(1, Ordering::Relaxed) >= 2, "intentional crash while warming up");
+        });
+        let t0 = Instant::now();
+        let report = supervise(&[stage], &slow_poll_config(), &log).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+        assert_eq!(report.panic_restarts, 2);
+        assert_eq!(attempts.load(Ordering::Relaxed), 3);
+    }
+
+    thread_local! {
+        /// Dropped when its thread exits: after that thread's exit report.
+        static ON_THREAD_EXIT: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
+    }
+
+    /// Supervises one stage whose first incarnation stops beating and, once
+    /// the watchdog cancels it, exits — returning, or panicking if
+    /// `twin_panics` — while its replacement is held until the abandoned
+    /// twin's thread has exited. Returns the report, the attempts, and
+    /// whether the replacement finished before `supervise` returned.
+    fn run_with_late_twin(twin_panics: bool) -> (SupervisionReport, u32, bool) {
+        let log = fresh_log();
+        let attempts = Arc::new(AtomicU32::new(0));
+        let finished = Arc::new(AtomicBool::new(false));
+        let (twin_alive, twin_exited) = mpsc::channel::<()>();
+        let twin_alive = Mutex::new(Some(twin_alive));
+        let twin_exited = Mutex::new(twin_exited);
+        let (a, f) = (Arc::clone(&attempts), Arc::clone(&finished));
+        let stage = Stage::new("twin", move |ctx| {
+            ctx.heartbeat.beat();
+            if a.fetch_add(1, Ordering::Relaxed) == 0 {
+                let alive = twin_alive.lock().unwrap().take();
+                ON_THREAD_EXIT.with(|slot| *slot.borrow_mut() = alive);
+                while !ctx.token.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(!twin_panics, "abandoned twin panics on its way out");
+                return;
+            }
+            // Disconnects once the twin's thread is gone.
+            let exited = twin_exited.lock().unwrap();
+            while let Err(mpsc::RecvTimeoutError::Timeout) =
+                exited.recv_timeout(Duration::from_millis(1))
+            {
+                ctx.heartbeat.beat();
+            }
+            f.store(true, Ordering::SeqCst);
+        });
+        let report = supervise(&[stage], &test_config(), &log).unwrap();
+        let log = log.lock().unwrap();
+        assert_eq!((log.watchdog_fires(), log.panics()), (1, 0), "{:?}", log.events());
+        (report, attempts.load(Ordering::Relaxed), finished.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn an_abandoned_twin_exiting_late_does_not_complete_its_replacement() {
+        let (report, attempts, finished) = run_with_late_twin(false);
+        assert!(finished, "supervise returned before the replacement finished");
+        assert_eq!(report, SupervisionReport { panic_restarts: 0, watchdog_fires: 1 });
+        assert_eq!(attempts, 2);
+    }
+
+    #[test]
+    fn an_abandoned_twin_panicking_late_does_not_restart_its_replacement() {
+        let (report, attempts, finished) = run_with_late_twin(true);
+        assert!(finished, "supervise returned before the replacement finished");
+        assert_eq!(report, SupervisionReport { panic_restarts: 0, watchdog_fires: 1 });
+        assert_eq!(attempts, 2, "the twin's panic must not restart its replacement");
     }
 
     #[test]

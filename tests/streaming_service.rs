@@ -1,6 +1,7 @@
 //! End-to-end contracts of the streaming inference service.
 //!
-//! Two promises lock the streaming path to the batch pipeline:
+//! Two promises lock the streaming path to the batch pipeline, and a third
+//! keeps sessions from waiting on the supervisor:
 //!
 //! 1. **Clean-path equivalence** — streaming a recording through
 //!    `StreamService` yields region-for-region the labels the batch
@@ -10,13 +11,16 @@
 //!    ladder's transitions (and therefore which rung labeled which region)
 //!    are a pure function of the input: two identical runs produce
 //!    identical `ServiceLog`s and identical emissions.
+//! 3. **Prompt completion** — a session ends, and a panicked stage
+//!    restarts, as soon as a stage exits: a supervisor poll far longer than
+//!    the session changes neither when it ends nor what it emits.
 
 use emoleak::core::online::extract_window;
 use emoleak::prelude::*;
 use emoleak::stream::{ReplaySource, StreamConfig, StreamReport, StreamService};
 use emoleak_exec::with_threads;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scenario() -> AttackScenario {
     AttackScenario::table_top(
@@ -89,6 +93,40 @@ fn clean_stream_labels_are_byte_identical_to_batch_at_any_thread_count() {
         per_thread_count[0], per_thread_count[1],
         "worker count changed the streamed labels"
     );
+}
+
+#[test]
+fn sessions_end_when_their_stages_exit_not_on_the_supervisor_poll() {
+    let scenario = scenario();
+    let harvest = scenario.harvest().unwrap();
+    let bundle = Arc::new(ModelBundle::train(&harvest, 7).unwrap());
+    let campaign = scenario.record_windows().unwrap();
+    let run = |config: StreamConfig| {
+        let service = StreamService::new(
+            Arc::clone(&bundle),
+            scenario.setting.region_detector(),
+            campaign.fs,
+            config,
+        );
+        let t0 = Instant::now();
+        let report = service
+            .run(Box::new(ReplaySource::from_campaign(&campaign, 256)))
+            .unwrap();
+        (report, t0.elapsed())
+    };
+    for panic_after_chunks in [None, Some(2)] {
+        let config = StreamConfig { panic_after_chunks, ..fast_config() };
+        let (reference, _) = run(config.clone());
+        let mut slow_poll = config;
+        slow_poll.supervisor.poll = Duration::from_secs(20);
+        let (report, took) = run(slow_poll);
+        assert!(
+            took < Duration::from_secs(5),
+            "session with panic_after_chunks {panic_after_chunks:?} took {took:?}"
+        );
+        assert_eq!(report.emissions, reference.emissions);
+        assert_eq!(report.stats.panic_restarts, u32::from(panic_after_chunks.is_some()));
+    }
 }
 
 #[test]
