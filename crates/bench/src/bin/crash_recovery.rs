@@ -17,10 +17,11 @@
 //!    last valid state — again byte-identically.
 //!
 //! Knobs: `EMOLEAK_CRASH_KILLS` (randomized kill points, default 6),
-//! `EMOLEAK_CRASH_SEED` (kill-point RNG, default 0xC4A5),
-//! `EMOLEAK_CRASH_JSON` (report path, default `results/crash_recovery.json`).
+//! `EMOLEAK_CRASH_SEED` (kill-point RNG, default 0xC4A5). The report is
+//! `crash_recovery.json` under `EMOLEAK_RESULTS_DIR` (default `results/`).
 
-use emoleak_bench::{campaign_fingerprint, write_result};
+use emoleak_bench::campaign_fingerprint;
+use emoleak_bench::chaos::{self, Json};
 use emoleak_core::prelude::*;
 use emoleak_core::{evaluate_features, ClassifierKind, Protocol};
 use emoleak_durable::{
@@ -97,14 +98,6 @@ fn compute_units(
     .collect()
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the campaign's final artifact from its unit payloads. The chaos
 /// contract is on these bytes: clean vs killed-and-resumed must be equal.
 fn render_json(payloads: &[Vec<u8>]) -> String {
@@ -119,8 +112,8 @@ fn render_json(payloads: &[Vec<u8>]) -> String {
         out.push_str(&format!(
             "    {{\"axis\": \"{}\", \"severity\": {}, \"accuracy\": {}, \"regions\": {}}}{}\n",
             axes[ai].0,
-            json_num(severity),
-            json_num(accuracy),
+            Json::Num(severity, 6),
+            Json::Num(accuracy, 6),
             regions,
             if i + 1 < payloads.len() { "," } else { "" }
         ));
@@ -248,10 +241,6 @@ fn newest_snapshot(dir: &Path) -> Option<PathBuf> {
         .collect();
     snaps.sort();
     snaps.pop().map(|(_, p)| p)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() -> Result<(), EmoleakError> {
@@ -484,26 +473,17 @@ fn main() -> Result<(), EmoleakError> {
     json.push_str(&format!("  \"kills\": {kills},\n  \"chaos_seed\": {chaos_seed},\n"));
     json.push_str(&format!("  \"total_ops\": {total_ops},\n  \"trials\": [\n"));
     for (i, t) in harness.trials.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ok\": {}, \"detail\": \"{}\", \"defects\": [{}]}}{}\n",
-            json_escape(&t.name),
-            t.ok,
-            json_escape(&t.detail),
-            t.defects
-                .iter()
-                .map(|d| format!("\"{}\"", json_escape(d)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 < harness.trials.len() { "," } else { "" }
-        ));
+        let trial = Json::Obj(vec![
+            ("name", t.name.as_str().into()),
+            ("ok", t.ok.into()),
+            ("detail", t.detail.as_str().into()),
+            ("defects", Json::Arr(t.defects.iter().map(|d| d.as_str().into()).collect())),
+        ]);
+        let sep = if i + 1 < harness.trials.len() { "," } else { "" };
+        json.push_str(&format!("    {trial}{sep}\n"));
     }
     json.push_str("  ]\n}\n");
-    let path = std::env::var("EMOLEAK_CRASH_JSON")
-        .unwrap_or_else(|_| "results/crash_recovery.json".to_string());
-    match write_result(Path::new(&path), json.as_bytes()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path} ({e}); JSON follows:\n{json}"),
-    }
+    chaos::publish("crash_recovery.json", &json);
 
     let _ = std::fs::remove_dir_all(&harness.base);
     assert_eq!(failed, 0, "{failed} chaos trial(s) violated the durability contract");

@@ -28,15 +28,15 @@
 //!
 //! The simulation runs on the fleet's logical clock and the grid is
 //! parallelized with order-preserving `par_map_indexed`, so
-//! `results/disk_chaos.json` is **byte-identical under any
-//! `EMOLEAK_THREADS`** (for a fixed shard count and replica setting) —
-//! there are no wall-clock fields at all. Knobs:
-//! `EMOLEAK_DISK_CHAOS_SEVERITIES` (comma list, default `0,1,2`),
-//! `EMOLEAK_DISK_CHAOS_SEEDS` (default 2), `EMOLEAK_SHARDS`,
-//! `EMOLEAK_REPLICAS`, `EMOLEAK_DISK_CHAOS_JSON` (artifact path). Exits
-//! non-zero if any run violates the contract.
+//! `disk_chaos.json` is **byte-identical under any `EMOLEAK_THREADS`**
+//! (for a fixed shard count and replica setting) — there are no
+//! wall-clock fields at all. The grid, its knobs
+//! (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`; `EMOLEAK_CHAOS_SEEDS`,
+//! default 2) and the report live in `emoleak_bench::chaos`;
+//! `EMOLEAK_SHARDS` and `EMOLEAK_REPLICAS` size the fleet. Exits non-zero
+//! if any run violates the contract.
 
-use emoleak_bench::write_result;
+use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::admission::DurabilityLevel;
 use emoleak_core::EmoleakError;
 use emoleak_durable::FaultPlan;
@@ -77,23 +77,14 @@ enum Scenario {
     Mixed,
 }
 
+const SCENARIOS: [(&str, Scenario); 4] = [
+    ("enospc_ramp", Scenario::EnospcRamp),
+    ("eio_storm", Scenario::EioStorm),
+    ("fsync_stall", Scenario::FsyncStall),
+    ("mixed", Scenario::Mixed),
+];
+
 impl Scenario {
-    const ALL: [Scenario; 4] = [
-        Scenario::EnospcRamp,
-        Scenario::EioStorm,
-        Scenario::FsyncStall,
-        Scenario::Mixed,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Scenario::EnospcRamp => "enospc_ramp",
-            Scenario::EioStorm => "eio_storm",
-            Scenario::FsyncStall => "fsync_stall",
-            Scenario::Mixed => "mixed",
-        }
-    }
-
     /// The per-fleet fault plan (reseeded per shard by
     /// [`DiskConfig::shard_plan`]) and gauge for one grid cell. Severity
     /// 0 is the armed-but-quiet control.
@@ -140,82 +131,6 @@ impl Scenario {
     }
 }
 
-struct RunSpec {
-    scenario: Scenario,
-    severity: f64,
-    seed: u64,
-    shards: u32,
-    replicas: u32,
-}
-
-struct RunRecord {
-    scenario: &'static str,
-    severity: f64,
-    seed: u64,
-    ok: bool,
-    violations: Vec<String>,
-    offered: u64,
-    served: u64,
-    rejected: u64,
-    shed: u64,
-    migrated: u64,
-    crash_loss: u64,
-    recovered: u64,
-    /// Durability transitions the fleet's service log recorded.
-    transitions: usize,
-    /// The worst level any live shard held at the end.
-    worst: DurabilityLevel,
-    /// Shard-ticks at each ladder rung, best first.
-    level_ticks: [u64; 4],
-    /// Records committed in memory but journaled nowhere, fleet-wide.
-    unjournaled: u64,
-    served_digest: u64,
-}
-
-fn fail_record(spec: &RunSpec, why: String) -> RunRecord {
-    RunRecord {
-        scenario: spec.scenario.name(),
-        severity: spec.severity,
-        seed: spec.seed,
-        ok: false,
-        violations: vec![why],
-        offered: 0,
-        served: 0,
-        rejected: 0,
-        shed: 0,
-        migrated: 0,
-        crash_loss: 0,
-        recovered: 0,
-        transitions: 0,
-        worst: DurabilityLevel::Durable,
-        level_ticks: [0; 4],
-        unjournaled: 0,
-        served_digest: 0,
-    }
-}
-
-/// FNV-1a over the per-tenant served stream `(tenant, seq, cost)` —
-/// the identity the severity-0 control compares against the unarmed path.
-fn served_digest(served: &BTreeMap<String, Vec<(u64, u64)>>) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (tenant, chunks) in served {
-        for b in tenant.bytes() {
-            eat(b);
-        }
-        eat(0xFF);
-        for (seq, cost) in chunks {
-            for b in seq.to_le_bytes().into_iter().chain(cost.to_le_bytes()) {
-                eat(b);
-            }
-        }
-    }
-    hash
-}
-
 /// One full fleet run under `disk`, with the per-tick conservation check
 /// and (for the mixed scenario) the mid-run kill.
 struct DriveOutcome {
@@ -225,14 +140,18 @@ struct DriveOutcome {
     worst: DurabilityLevel,
     level_ticks: [u64; 4],
     unjournaled: u64,
-    live: usize,
     violations: Vec<String>,
 }
 
-fn drive(spec: &RunSpec, disk: DiskConfig, dir: &std::path::Path) -> DriveOutcome {
+fn drive(
+    spec: &Cell<Scenario>,
+    env: &FleetConfig,
+    disk: DiskConfig,
+    dir: &std::path::Path,
+) -> Result<DriveOutcome, String> {
     let mut cfg = FleetConfig {
-        shards: spec.shards,
-        replicas: spec.replicas,
+        shards: env.shards,
+        replicas: env.replicas,
         ledger_every: 10,
         scrub_every: 10,
         disk,
@@ -242,21 +161,8 @@ fn drive(spec: &RunSpec, disk: DiskConfig, dir: &std::path::Path) -> DriveOutcom
     cfg.admission.tenant_rps = 1_000_000;
     cfg.admission.tenant_burst = 1_000_000;
     let mut violations = Vec::new();
-    let mut coord = match FleetCoordinator::new(cfg, dir) {
-        Ok(c) => c,
-        Err(e) => {
-            return DriveOutcome {
-                stats: FleetStats::default(),
-                digest: 0,
-                transitions: Vec::new(),
-                worst: DurabilityLevel::Durable,
-                level_ticks: [0; 4],
-                unjournaled: 0,
-                live: 0,
-                violations: vec![format!("fleet dir unusable: {e}")],
-            }
-        }
-    };
+    let mut coord =
+        FleetCoordinator::new(cfg, dir).map_err(|e| format!("fleet dir unusable: {e}"))?;
     let kill_tick = TICKS / 2;
     let mut served: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
     let mut now = 0;
@@ -308,16 +214,15 @@ fn drive(spec: &RunSpec, disk: DiskConfig, dir: &std::path::Path) -> DriveOutcom
     if view.live == 0 {
         violations.push("the fleet went dark: zero live shards".to_string());
     }
-    DriveOutcome {
+    Ok(DriveOutcome {
         stats,
-        digest: served_digest(&served),
+        digest: chaos::served_digest(&served),
         transitions: coord.log().durability_transitions(),
         worst: view.durability_worst,
         level_ticks: view.durability_level_ticks,
         unjournaled: view.unjournaled_total,
-        live: view.live,
         violations,
-    }
+    })
 }
 
 /// Every shard's durability transitions must chain without gaps: the
@@ -342,17 +247,23 @@ fn check_chain(
     }
 }
 
-fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
+fn simulate(
+    spec: &Cell<Scenario>,
+    env: &FleetConfig,
+    dir: &std::path::Path,
+    violations: &mut Vec<String>,
+) -> Result<Fields, String> {
     let disk = spec.scenario.disk(spec.severity, spec.seed);
-    let out = drive(spec, disk, dir.join("armed").as_path());
-    let mut violations = out.violations;
-    check_chain(&out.transitions, &mut violations);
+    let out = drive(spec, env, disk, dir.join("armed").as_path())?;
+    violations.extend(out.violations);
+    check_chain(&out.transitions, violations);
 
     if spec.severity == 0.0 {
         // The armed-but-quiet control: re-run the identical schedule on
         // the unarmed OsVfs path and demand indistinguishability, down
         // to the journal bytes.
-        let bare = drive(spec, DiskConfig::default(), dir.join("bare").as_path());
+        let bare = drive(spec, env, DiskConfig::default(), dir.join("bare").as_path())
+            .map_err(|e| format!("unarmed control: {e}"))?;
         violations.extend(bare.violations.iter().map(|v| format!("unarmed control: {v}")));
         if out.stats != bare.stats {
             violations.push(format!(
@@ -363,7 +274,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         if out.digest != bare.digest {
             violations.push("a quiet nemesis changed what was served".to_string());
         }
-        for id in 0..spec.shards {
+        for id in 0..env.shards {
             let armed = std::fs::read(shard_journal_path(&dir.join("armed"), id));
             let plain = std::fs::read(shard_journal_path(&dir.join("bare"), id));
             match (armed, plain) {
@@ -465,44 +376,22 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                 }
             }
         }
-        let _ = out.live;
     }
 
-    RunRecord {
-        scenario: spec.scenario.name(),
-        severity: spec.severity,
-        seed: spec.seed,
-        ok: violations.is_empty(),
-        violations,
-        offered: out.stats.offered,
-        served: out.stats.served,
-        rejected: out.stats.rejected,
-        shed: out.stats.shed,
-        migrated: out.stats.migrated,
-        crash_loss: out.stats.crash_loss,
-        recovered: out.stats.recovered,
-        transitions: out.transitions.len(),
-        worst: out.worst,
-        level_ticks: out.level_ticks,
-        unjournaled: out.unjournaled,
-        served_digest: out.digest,
-    }
-}
-
-fn run_one(index: usize, spec: &RunSpec) -> RunRecord {
-    let dir = std::env::temp_dir().join(format!(
-        "emoleak-disk-chaos-{}-{index}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        simulate(spec, &dir)
-    }));
-    let _ = std::fs::remove_dir_all(&dir);
-    match outcome {
-        Ok(record) => record,
-        Err(_) => fail_record(spec, "escaped panic in the storage layer".to_string()),
-    }
+    Ok(vec![
+        ("offered", out.stats.offered.into()),
+        ("served", out.stats.served.into()),
+        ("rejected", out.stats.rejected.into()),
+        ("shed", out.stats.shed.into()),
+        ("migrated", out.stats.migrated.into()),
+        ("crash_loss", out.stats.crash_loss.into()),
+        ("recovered", out.stats.recovered.into()),
+        ("transitions", out.transitions.len().into()),
+        ("worst_durability", level_name(out.worst).into()),
+        ("durability_level_ticks", Json::Arr(out.level_ticks.map(Json::Int).to_vec())),
+        ("unjournaled", out.unjournaled.into()),
+        ("served_digest", Json::Hex(out.digest)),
+    ])
 }
 
 fn level_name(level: DurabilityLevel) -> &'static str {
@@ -514,166 +403,43 @@ fn level_name(level: DurabilityLevel) -> &'static str {
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn to_json(records: &[RunRecord], shards: u32, replicas: u32) -> String {
-    let mut out =
-        format!("{{\n  \"shards\": {shards},\n  \"replicas\": {replicas},\n  \"runs\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"severity\": {}, \"seed\": {}, \"ok\": {}, \
-             \"offered\": {}, \"served\": {}, \"rejected\": {}, \"shed\": {}, \
-             \"migrated\": {}, \"crash_loss\": {}, \"recovered\": {}, \
-             \"transitions\": {}, \"worst_durability\": \"{}\", \
-             \"durability_level_ticks\": [{}, {}, {}, {}], \"unjournaled\": {}, \
-             \"served_digest\": \"{:016x}\", \"violations\": [{}]}}{}\n",
-            r.scenario,
-            json_num(r.severity),
-            r.seed,
-            r.ok,
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.migrated,
-            r.crash_loss,
-            r.recovered,
-            r.transitions,
-            level_name(r.worst),
-            r.level_ticks[0],
-            r.level_ticks[1],
-            r.level_ticks[2],
-            r.level_ticks[3],
-            r.unjournaled,
-            r.served_digest,
-            r.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    let mut ticks_total = [0u64; 4];
-    for r in records {
-        for (t, add) in ticks_total.iter_mut().zip(r.level_ticks) {
-            *t += add;
-        }
-    }
-    out.push_str(&format!(
-        "  ],\n  \"summary\": {{\n    \"durability_level_ticks\": [{}, {}, {}, {}],\n    \
-         \"transitions_total\": {},\n    \"crash_loss_total\": {},\n    \
-         \"unjournaled_total\": {}\n  }},\n",
-        ticks_total[0],
-        ticks_total[1],
-        ticks_total[2],
-        ticks_total[3],
-        records.iter().map(|r| r.transitions).sum::<usize>(),
-        records.iter().map(|r| r.crash_loss).sum::<u64>(),
-        records.iter().map(|r| r.unjournaled).sum::<u64>(),
-    ));
-    out.push_str(&format!(
-        "  \"total_runs\": {},\n  \"failed_runs\": {failed}\n}}\n",
-        records.len()
-    ));
-    out
-}
-
 fn main() -> Result<(), EmoleakError> {
     println!("Disk chaos: ENOSPC ramps, EIO storms, fsync stalls, and the durability ladder");
-
-    let severities: Vec<f64> = emoleak_exec::parse_list_checked(
-        "EMOLEAK_DISK_CHAOS_SEVERITIES",
-        "comma-separated non-negative numbers",
-        |&s: &f64| s.is_finite() && s >= 0.0,
-    )?
-    .unwrap_or_else(|| vec![0.0, 1.0, 2.0]);
-    let seeds: u64 = emoleak_exec::parse_checked(
-        "EMOLEAK_DISK_CHAOS_SEEDS",
-        "a positive count",
-        |&n: &u64| n > 0,
-    )?
-    .unwrap_or(2);
     // EMOLEAK_SHARDS / EMOLEAK_REPLICAS come through the fleet config;
     // the grid overrides `disk` per cell, so the env's own EMOLEAK_DISK_*
     // arming (if any) does not leak into the runs.
-    let env_cfg = FleetConfig::from_env()?;
-    let (shards, replicas) = (env_cfg.shards, env_cfg.replicas);
-
-    let mut grid = Vec::new();
-    for scenario in Scenario::ALL {
-        for &severity in &severities {
-            for seed in 0..seeds {
-                grid.push(RunSpec {
-                    scenario,
-                    severity,
-                    seed: 0xD15C ^ (seed.wrapping_mul(0x9E37_79B9)) ^ (severity.to_bits() >> 17),
-                    shards,
-                    replicas,
-                });
+    let env = FleetConfig::from_env()?;
+    let grid = chaos::grid(&SCENARIOS, 0xD15C, &[0.0, 1.0, 2.0], 2)?;
+    // Order-preserving parallel map: the record order — and therefore the
+    // JSON bytes — is the grid order under any EMOLEAK_THREADS.
+    let records = par_map_indexed(&grid, |i, cell| {
+        chaos::run_cell("disk_chaos", i, cell.fields("scenario"), |dir, violations| {
+            simulate(cell, &env, dir, violations)
+        })
+    });
+    let mut level_ticks = [0u64; 4];
+    for record in &records {
+        if let Some(Json::Arr(ticks)) = record.get("durability_level_ticks") {
+            for (total, t) in level_ticks.iter_mut().zip(ticks) {
+                *total += t.as_u64().unwrap_or(0);
             }
         }
     }
-    // Order-preserving parallel map: the record order — and therefore the
-    // JSON bytes — is the grid order under any EMOLEAK_THREADS.
-    let records = par_map_indexed(&grid, run_one);
-
-    println!(
-        "{:<14} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>5} {:>6} {:>14} {:>20} {:>6}",
-        "scenario", "sev", "ok", "offered", "served", "rejected", "shed", "loss", "moves",
-        "worst", "level_ticks", "unjrnl"
+    let summary = [
+        ("durability_level_ticks", Json::Arr(level_ticks.map(Json::Int).to_vec())),
+        ("transitions_total", chaos::column(&records, "transitions").sum::<u64>().into()),
+        ("crash_loss_total", chaos::column(&records, "crash_loss").sum::<u64>().into()),
+        ("unjournaled_total", chaos::column(&records, "unjournaled").sum::<u64>().into()),
+    ];
+    chaos::finish(
+        "disk_chaos",
+        &[("shards", env.shards.into()), ("replicas", env.replicas.into())],
+        &records,
+        &summary,
+        &[
+            "offered", "served", "rejected", "shed", "crash_loss", "transitions",
+            "worst_durability", "durability_level_ticks", "unjournaled",
+        ],
     );
-    println!("{}", "-".repeat(118));
-    for r in &records {
-        println!(
-            "{:<14} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>5} {:>6} {:>14} {:>20} {:>6}",
-            r.scenario,
-            r.severity,
-            if r.ok { "ok" } else { "FAIL" },
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.crash_loss,
-            r.transitions,
-            level_name(r.worst),
-            format!(
-                "{}/{}/{}/{}",
-                r.level_ticks[0], r.level_ticks[1], r.level_ticks[2], r.level_ticks[3]
-            ),
-            r.unjournaled,
-        );
-        for v in &r.violations {
-            println!("    violation: {v}");
-        }
-    }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    println!(
-        "\n{} runs ({} shards, {} replica(s)), {} violations; transitions: {}, \
-         crash loss: {}, unjournaled: {}",
-        records.len(),
-        shards,
-        replicas,
-        failed,
-        records.iter().map(|r| r.transitions).sum::<usize>(),
-        records.iter().map(|r| r.crash_loss).sum::<u64>(),
-        records.iter().map(|r| r.unjournaled).sum::<u64>(),
-    );
-
-    let json = to_json(&records, shards, replicas);
-    let path = std::env::var("EMOLEAK_DISK_CHAOS_JSON")
-        .unwrap_or_else(|_| "results/disk_chaos.json".to_string());
-    match write_result(std::path::Path::new(&path), json.as_bytes()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path} ({e}); JSON follows:\n{json}"),
-    }
-    assert!(failed == 0, "{failed} disk run(s) violated the contract");
     Ok(())
 }

@@ -36,6 +36,7 @@
 //! (default 48), `EMOLEAK_FLEET_BENCH_RATE` (mean sessions/tick, default
 //! 1.5), `EMOLEAK_FLEET_BENCH_JSON` (default `BENCH_fleet.json`).
 
+use emoleak_bench::chaos::percentile;
 use emoleak_bench::write_result;
 use emoleak_core::prelude::*;
 use emoleak_fleet::{FleetConfig, FleetService, LoadProfile};
@@ -46,14 +47,6 @@ use std::time::Instant;
 
 const TENANTS: [&str; 6] = ["amber", "brook", "coral", "dune", "ember", "fjord"];
 const CHUNK: usize = 256;
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
 
 /// Mean append latency (µs) over `n` journaled chunk admits, solo or with
 /// a synchronous replica ship — the per-record price of replication on

@@ -41,17 +41,17 @@
 //!
 //! The simulation runs on the fleet's logical clock, and the scenario grid
 //! is parallelized with order-preserving `par_map_indexed`, so
-//! `results/fleet_chaos.json` is **byte-identical under any
-//! `EMOLEAK_THREADS`** (for a fixed shard count and replica setting) —
-//! except the `failover_wall_us` summary lines, which report wall time and
-//! are stripped before comparison (`grep -v failover_wall_us`). Knobs:
-//! `EMOLEAK_FLEET_SEVERITIES` (comma list, default `0,1,2`),
-//! `EMOLEAK_FLEET_SEEDS` (default 2), `EMOLEAK_SHARDS` (fleet width,
-//! default 4), `EMOLEAK_REPLICAS` (0 disables replication),
-//! `EMOLEAK_FLEET_JSON` and `EMOLEAK_FLEET_DIGEST` (artifact paths).
-//! Exits non-zero if any run violates the contract.
+//! `fleet_chaos.json` is **byte-identical under any `EMOLEAK_THREADS`**
+//! (for a fixed shard count and replica setting) — except the
+//! `failover_wall_us` summary lines, which report wall time and are
+//! stripped before comparison (`grep -v failover_wall_us`). The grid, its
+//! knobs (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`;
+//! `EMOLEAK_CHAOS_SEEDS`, default 2) and the reports live in
+//! `emoleak_bench::chaos`; `EMOLEAK_SHARDS` (default 4) and
+//! `EMOLEAK_REPLICAS` (0 disables replication) size the fleet. Exits
+//! non-zero if any run violates the contract.
 
-use emoleak_bench::write_result;
+use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::EmoleakError;
 use emoleak_durable::Defect;
 use emoleak_exec::{derive_seed, par_map_indexed, splitmix64};
@@ -60,6 +60,7 @@ use emoleak_fleet::{
     shard_journal_path, FailoverKind, FleetConfig, FleetCoordinator, NetProfileKind,
 };
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 const TICKS: u64 = 400;
 const TENANTS: [&str; 8] =
@@ -112,39 +113,22 @@ enum Scenario {
     StaleWriter,
 }
 
+const SCENARIOS: [(&str, Scenario); 12] = [
+    ("steady_state", Scenario::SteadyState),
+    ("shard_kill", Scenario::ShardKill),
+    ("brown_out_failover", Scenario::BrownOutFailover),
+    ("cascade", Scenario::Cascade),
+    ("coordinator_restart", Scenario::CoordinatorRestart),
+    ("split_tenant_flood", Scenario::SplitTenantFlood),
+    ("disk_loss", Scenario::DiskLoss),
+    ("replica_corrupt", Scenario::ReplicaCorrupt),
+    ("double_failure", Scenario::DoubleFailure),
+    ("partition", Scenario::Partition),
+    ("asymmetric_partition", Scenario::AsymmetricPartition),
+    ("stale_writer", Scenario::StaleWriter),
+];
+
 impl Scenario {
-    const ALL: [Scenario; 12] = [
-        Scenario::SteadyState,
-        Scenario::ShardKill,
-        Scenario::BrownOutFailover,
-        Scenario::Cascade,
-        Scenario::CoordinatorRestart,
-        Scenario::SplitTenantFlood,
-        Scenario::DiskLoss,
-        Scenario::ReplicaCorrupt,
-        Scenario::DoubleFailure,
-        Scenario::Partition,
-        Scenario::AsymmetricPartition,
-        Scenario::StaleWriter,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Scenario::SteadyState => "steady_state",
-            Scenario::ShardKill => "shard_kill",
-            Scenario::BrownOutFailover => "brown_out_failover",
-            Scenario::Cascade => "cascade",
-            Scenario::CoordinatorRestart => "coordinator_restart",
-            Scenario::SplitTenantFlood => "split_tenant_flood",
-            Scenario::DiskLoss => "disk_loss",
-            Scenario::ReplicaCorrupt => "replica_corrupt",
-            Scenario::DoubleFailure => "double_failure",
-            Scenario::Partition => "partition",
-            Scenario::AsymmetricPartition => "asymmetric_partition",
-            Scenario::StaleWriter => "stale_writer",
-        }
-    }
-
     /// The partition arc runs on the simulated message plane even when
     /// `EMOLEAK_NET` leaves it off for the rest of the grid.
     fn needs_transport(self) -> bool {
@@ -217,113 +201,6 @@ fn offers(
     out
 }
 
-struct RunSpec {
-    scenario: Scenario,
-    severity: f64,
-    seed: u64,
-    shards: u32,
-    replicas: u32,
-    net: NetConfig,
-}
-
-struct RunRecord {
-    scenario: &'static str,
-    severity: f64,
-    seed: u64,
-    ok: bool,
-    violations: Vec<String>,
-    offered: u64,
-    served: u64,
-    rejected: u64,
-    shed: u64,
-    migrated: u64,
-    crash_loss: u64,
-    recovered: u64,
-    /// Logical ticks from a kill until every victim tenant was served
-    /// again (0 when nothing was killed) — the deterministic failover
-    /// latency.
-    recovery_ticks: u64,
-    scrub_found: usize,
-    scrub_repaired: usize,
-    failovers_graceful: usize,
-    failovers_crash: usize,
-    live_shards: usize,
-    restart_burn: u32,
-    /// Wall time spent inside the failover/recovery machinery itself
-    /// (kill reconciliation, coordinator recovery). Nondeterministic —
-    /// reported in the JSON summary only, on filterable lines.
-    failover_wall_us: u128,
-    /// FNV-1a over the per-tenant served stream `(tenant, seq, cost)`,
-    /// tenant-sorted — invariant across shard counts on the clean path.
-    served_digest: u64,
-}
-
-fn fail_record(spec: &RunSpec, why: String) -> RunRecord {
-    RunRecord {
-        scenario: spec.scenario.name(),
-        severity: spec.severity,
-        seed: spec.seed,
-        ok: false,
-        violations: vec![why],
-        offered: 0,
-        served: 0,
-        rejected: 0,
-        shed: 0,
-        migrated: 0,
-        crash_loss: 0,
-        recovered: 0,
-        recovery_ticks: 0,
-        scrub_found: 0,
-        scrub_repaired: 0,
-        failovers_graceful: 0,
-        failovers_crash: 0,
-        live_shards: 0,
-        restart_burn: 0,
-        failover_wall_us: 0,
-        served_digest: 0,
-    }
-}
-
-fn run_one(index: usize, spec: &RunSpec) -> RunRecord {
-    let dir = std::env::temp_dir().join(format!(
-        "emoleak-fleet-chaos-{}-{index}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        simulate(spec, &dir)
-    }));
-    let _ = std::fs::remove_dir_all(&dir);
-    match outcome {
-        Ok(record) => record,
-        Err(_) => fail_record(spec, "escaped panic in the fleet layer".to_string()),
-    }
-}
-
-/// FNV-1a over the served stream, per tenant in seq order. Served chunks
-/// are grouped by tenant (sorted) and sorted by seq within a tenant, so
-/// the digest only depends on *what* each tenant had served — not on
-/// which shard served it or in what global interleaving.
-fn served_digest(served: &BTreeMap<String, Vec<(u64, u64)>>) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (tenant, chunks) in served {
-        for b in tenant.bytes() {
-            eat(b);
-        }
-        eat(0xFF);
-        for (seq, cost) in chunks {
-            for b in seq.to_le_bytes().into_iter().chain(cost.to_le_bytes()) {
-                eat(b);
-            }
-        }
-    }
-    hash
-}
-
 /// Flips one byte mid-file — bit rot on a replica segment.
 fn corrupt_file(path: &std::path::Path) -> bool {
     let Ok(mut bytes) = std::fs::read(path) else { return false };
@@ -345,14 +222,18 @@ fn burst_victim_queue(coord: &mut FleetCoordinator, now: u64) {
     if coord.ring().len() < 2 {
         return;
     }
-    let victim = coord.ring().route(TENANTS[0]);
-    let victims: Vec<&str> =
-        TENANTS.iter().copied().filter(|t| coord.ring().route(t) == victim).collect();
-    for t in victims {
+    for t in victims(coord).1 {
         for _ in 0..8 {
-            let _ = coord.offer(t, 64, now);
+            let _ = coord.offer(&t, 64, now);
         }
     }
+}
+
+/// The shard homing `TENANTS[0]`, and every tenant it homes.
+fn victims(coord: &FleetCoordinator) -> (u32, Vec<String>) {
+    let victim = coord.ring().route(TENANTS[0]);
+    let homed = TENANTS.iter().filter(|t| coord.ring().route(t) == victim);
+    (victim, homed.map(|t| t.to_string()).collect())
 }
 
 /// Kills the shard homing `TENANTS[0]` — optionally destroying its disk
@@ -368,17 +249,12 @@ fn kill_with_queue(
     lose_disk: bool,
     corrupt_replica: bool,
     violations: &mut Vec<String>,
-    wall: &mut std::time::Duration,
+    wall: &mut Duration,
 ) -> Option<(u32, Vec<String>)> {
     if coord.ring().len() < 2 {
         return None;
     }
-    let victim = coord.ring().route(TENANTS[0]);
-    let victims: Vec<String> = TENANTS
-        .iter()
-        .filter(|t| coord.ring().route(t) == victim)
-        .map(|t| t.to_string())
-        .collect();
+    let (victim, homed) = victims(coord);
     if corrupt_replica {
         if let Some(replica) = coord.replica_path_of(victim) {
             if !corrupt_file(&replica) {
@@ -396,11 +272,21 @@ fn kill_with_queue(
     if event.kind != FailoverKind::Crash {
         violations.push("a kill must reconcile as a crash".to_string());
     }
-    Some((victim, victims))
+    Some((victim, homed))
 }
 
-fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
-    let mut cfg = fleet_config(spec.shards, spec.replicas, spec.net);
+/// One run of `spec`; `failover_wall` accumulates the wall time spent
+/// inside the failover and recovery machinery itself (kill
+/// reconciliation, coordinator recovery), which only the report's
+/// summary carries.
+fn simulate(
+    spec: &Cell<Scenario>,
+    env: &FleetConfig,
+    dir: &std::path::Path,
+    violations: &mut Vec<String>,
+    failover_wall: &mut Duration,
+) -> Result<Fields, String> {
+    let mut cfg = fleet_config(env.shards, env.replicas, env.net);
     if spec.scenario.needs_transport() && !cfg.net.enabled() {
         cfg.net.profile = NetProfileKind::Ideal;
     }
@@ -412,11 +298,8 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
     // Conservation and zero-loss still hold and are still checked.
     let faulty_plane =
         matches!(cfg.net.profile, NetProfileKind::Lossy | NetProfileKind::Chaotic);
-    let mut coord = match FleetCoordinator::new(cfg.clone(), dir) {
-        Ok(c) => c,
-        Err(e) => return fail_record(spec, format!("fleet dir unusable: {e}")),
-    };
-    let mut violations = Vec::new();
+    let mut coord =
+        FleetCoordinator::new(cfg.clone(), dir).map_err(|e| format!("fleet dir unusable: {e}"))?;
 
     // Flood targets: for the brown-out scenarios, one tenant homed on
     // shard 0 (and, for the split flood, the panic victim is a *different*
@@ -460,10 +343,8 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
     let mut kill_at = 0u64;
     let mut partitioned: Option<u32> = None;
     let mut self_fenced_before_failover = false;
-    let mut failover_wall = std::time::Duration::ZERO;
     let mut victim_tenants: Vec<String> = Vec::new();
     let mut served: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
-    let mut served_after_kill: BTreeMap<String, u64> = BTreeMap::new();
     let mut first_served_after_kill: BTreeMap<String, u64> = BTreeMap::new();
 
     let mut now = 0;
@@ -486,15 +367,15 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
             burst_victim_queue(&mut coord, now);
         }
         if let Some((lose_disk, corrupt_replica)) = kill_now.filter(|_| spec.severity > 0.0) {
-            if let Some((victim, victims)) = kill_with_queue(
+            if let Some((victim, homed)) = kill_with_queue(
                 &mut coord,
                 now,
                 lose_disk,
                 corrupt_replica,
-                &mut violations,
-                &mut failover_wall,
+                violations,
+                failover_wall,
             ) {
-                victim_tenants = victims;
+                victim_tenants = homed;
                 killed = Some(victim);
                 kill_at = now;
             }
@@ -508,15 +389,10 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         };
         if let Some(one_way) = partition_now.filter(|_| spec.severity > 0.0) {
             if coord.ring().len() > 1 {
-                let victim = coord.ring().route(TENANTS[0]);
-                let victims: Vec<String> = TENANTS
-                    .iter()
-                    .filter(|t| coord.ring().route(t) == victim)
-                    .map(|t| t.to_string())
-                    .collect();
+                let (victim, homed) = victims(&coord);
                 // A deep burst so the victim still holds queue when its
                 // lease finally runs out, forcing a real journal replay.
-                for t in &victims {
+                for t in &homed {
                     for _ in 0..80 {
                         let _ = coord.offer(t, 64, now);
                     }
@@ -529,7 +405,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                     coord.partition_shard(victim);
                 }
                 partitioned = Some(victim);
-                victim_tenants = victims;
+                victim_tenants = homed;
                 killed = Some(victim);
                 kill_at = now;
             }
@@ -587,14 +463,9 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
             }
             drop(coord);
             let t0 = std::time::Instant::now();
-            coord = match FleetCoordinator::recover(cfg.clone(), dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    violations.push(format!("recovery failed: {e}"));
-                    return fail_record(spec, violations.remove(0));
-                }
-            };
-            failover_wall += t0.elapsed();
+            coord = FleetCoordinator::recover(cfg.clone(), dir)
+                .map_err(|e| format!("recovery failed: {e}"))?;
+            *failover_wall += t0.elapsed();
             if !coord.stats().conserves() {
                 violations.push(format!(
                     "identity broken right after recovery: {:?}",
@@ -616,8 +487,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         for chunk in coord.advance(now, 4, &panics) {
             served.entry(chunk.tenant.clone()).or_default().push((chunk.seq, chunk.cost));
             if killed.is_some() {
-                first_served_after_kill.entry(chunk.tenant.clone()).or_insert(now);
-                *served_after_kill.entry(chunk.tenant).or_insert(0) += 1;
+                first_served_after_kill.entry(chunk.tenant).or_insert(now);
             }
         }
         coord.react(now);
@@ -644,8 +514,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         for chunk in coord.advance(now, usize::MAX, &[]) {
             served.entry(chunk.tenant.clone()).or_default().push((chunk.seq, chunk.cost));
             if killed.is_some() {
-                first_served_after_kill.entry(chunk.tenant.clone()).or_insert(now);
-                *served_after_kill.entry(chunk.tenant).or_insert(0) += 1;
+                first_served_after_kill.entry(chunk.tenant).or_insert(now);
             }
         }
         now += 1;
@@ -688,6 +557,13 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         .map(|&first| first.saturating_sub(kill_at))
         .max()
         .unwrap_or(0);
+    // No lost tenants: every tenant of a killed shard keeps being served
+    // through its new home.
+    let lost: Vec<String> = victim_tenants
+        .iter()
+        .filter(|t| !first_served_after_kill.contains_key(*t))
+        .map(|t| format!("tenant {t} was lost with its shard (never served again)"))
+        .collect();
 
     if spec.severity == 0.0 {
         // Clean path: no failure machinery may have moved.
@@ -708,22 +584,14 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
             Scenario::ShardKill => {
                 // A single-shard fleet has nothing to fail over to; the
                 // kill is skipped rather than blacking out the fleet.
-                if spec.shards > 1 && crashes == 0 {
+                if env.shards > 1 && crashes == 0 {
                     violations.push("the kill never registered as a crash".to_string());
                 }
-                // No lost tenants: every tenant of the killed shard keeps
-                // being served through its new home.
-                for t in &victim_tenants {
-                    if served_after_kill.get(t).copied().unwrap_or(0) == 0 {
-                        violations.push(format!(
-                            "tenant {t} was lost with its shard (never served again)"
-                        ));
-                    }
-                }
+                violations.extend(lost);
                 // The disk survived the kill, so with replication on (or
                 // off! the primary journal alone suffices here) the
                 // pre-kill burst replays exactly.
-                if spec.shards > 1 && replicated {
+                if env.shards > 1 && replicated {
                     if stats.crash_loss != 0 {
                         violations.push(format!(
                             "a kill with an intact disk must replay losslessly: {} lost",
@@ -737,17 +605,11 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                 }
             }
             Scenario::DiskLoss => {
-                if spec.shards > 1 {
+                if env.shards > 1 {
                     if crashes == 0 {
                         violations.push("the kill never registered as a crash".to_string());
                     }
-                    for t in &victim_tenants {
-                        if served_after_kill.get(t).copied().unwrap_or(0) == 0 {
-                            violations.push(format!(
-                                "tenant {t} was lost with its shard (never served again)"
-                            ));
-                        }
-                    }
+                    violations.extend(lost);
                     if replicated {
                         // The failure replication exists for: primary disk
                         // gone, the replica replays the queue exactly.
@@ -771,7 +633,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                 }
             }
             Scenario::ReplicaCorrupt => {
-                if spec.shards > 1 && replicated {
+                if env.shards > 1 && replicated {
                     // The scrub must have found the bit rot / torn ship
                     // and repaired the replica before the late disk loss.
                     if scrub_found == 0 {
@@ -796,7 +658,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                 }
             }
             Scenario::DoubleFailure => {
-                if spec.shards > 1 {
+                if env.shards > 1 {
                     // No clean copy survives (disk gone; replica corrupt
                     // or absent): the residual must be booked, not hidden.
                     if stats.crash_loss == 0 {
@@ -811,19 +673,13 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                         ));
                     }
                     // The tenants survive even when their queue does not.
-                    for t in &victim_tenants {
-                        if served_after_kill.get(t).copied().unwrap_or(0) == 0 {
-                            violations.push(format!(
-                                "tenant {t} was lost with its shard (never served again)"
-                            ));
-                        }
-                    }
+                    violations.extend(lost);
                 }
             }
             Scenario::BrownOutFailover => {
                 // The last shard is never fenced — a one-shard fleet
                 // rides the brown-out out behind its own breaker.
-                if spec.severity >= 2.0 && spec.shards > 1 {
+                if spec.severity >= 2.0 && env.shards > 1 {
                     if graceful == 0 {
                         violations
                             .push("a sustained brown-out must fence the shard".to_string());
@@ -843,20 +699,20 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                 if view.live < 1 {
                     violations.push("the cascade fenced the last shard".to_string());
                 }
-                if spec.severity >= 2.0 && spec.shards > 1 && graceful == 0 {
+                if spec.severity >= 2.0 && env.shards > 1 && graceful == 0 {
                     violations.push("a fleet-wide flood must fence something".to_string());
                 }
             }
             Scenario::CoordinatorRestart => {
-                if view.live != spec.shards as usize {
+                if view.live != env.shards as usize {
                     violations.push(format!(
                         "restart lost shards: {} live of {}",
-                        view.live, spec.shards
+                        view.live, env.shards
                     ));
                 }
             }
             Scenario::Partition | Scenario::AsymmetricPartition | Scenario::StaleWriter => {
-                if spec.shards > 1 {
+                if env.shards > 1 {
                     if crashes == 0 {
                         violations
                             .push("the lease never expired into a failover".to_string());
@@ -882,13 +738,7 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
                                 .push("the partitioned queue never replayed".to_string());
                         }
                     }
-                    for t in &victim_tenants {
-                        if served_after_kill.get(t).copied().unwrap_or(0) == 0 {
-                            violations.push(format!(
-                                "tenant {t} was lost with its shard (never served again)"
-                            ));
-                        }
-                    }
+                    violations.extend(lost);
                     match coord.net_stats() {
                         Some(ns) if ns.partitioned == 0 => violations
                             .push("the partition never blocked a frame".to_string()),
@@ -915,208 +765,74 @@ fn simulate(spec: &RunSpec, dir: &std::path::Path) -> RunRecord {
         }
     }
 
-    RunRecord {
-        scenario: spec.scenario.name(),
-        severity: spec.severity,
-        seed: spec.seed,
-        ok: violations.is_empty(),
-        violations,
-        offered: stats.offered,
-        served: stats.served,
-        rejected: stats.rejected,
-        shed: stats.shed,
-        migrated: stats.migrated,
-        crash_loss: stats.crash_loss,
-        recovered: stats.recovered,
-        recovery_ticks,
-        scrub_found,
-        scrub_repaired,
-        failovers_graceful: graceful,
-        failovers_crash: crashes,
-        live_shards: view.live,
-        restart_burn: view.restart_burn,
-        failover_wall_us: failover_wall.as_micros(),
-        served_digest: served_digest(&served),
-    }
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn to_json(records: &[RunRecord], shards: u32, replicas: u32) -> String {
-    let mut out =
-        format!("{{\n  \"shards\": {shards},\n  \"replicas\": {replicas},\n  \"runs\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"severity\": {}, \"seed\": {}, \"ok\": {}, \
-             \"offered\": {}, \"served\": {}, \"rejected\": {}, \"shed\": {}, \
-             \"migrated\": {}, \"crash_loss\": {}, \"recovered\": {}, \
-             \"recovery_ticks\": {}, \"scrub_found\": {}, \"scrub_repaired\": {}, \
-             \"failovers_graceful\": {}, \"failovers_crash\": {}, \"live_shards\": {}, \
-             \"restart_burn\": {}, \"served_digest\": \"{:016x}\", \"violations\": [{}]}}{}\n",
-            r.scenario,
-            json_num(r.severity),
-            r.seed,
-            r.ok,
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.migrated,
-            r.crash_loss,
-            r.recovered,
-            r.recovery_ticks,
-            r.scrub_found,
-            r.scrub_repaired,
-            r.failovers_graceful,
-            r.failovers_crash,
-            r.live_shards,
-            r.restart_burn,
-            r.served_digest,
-            r.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    // The summary keeps nondeterministic wall-clock aggregates on their own
-    // `failover_wall_us`-prefixed lines, so CI can strip them
-    // (`grep -v failover_wall_us`) and byte-compare the rest across
-    // EMOLEAK_THREADS. Everything else in the file is deterministic.
-    let wall_total: u128 = records.iter().map(|r| r.failover_wall_us).sum();
-    let wall_max = records.iter().map(|r| r.failover_wall_us).max().unwrap_or(0);
-    out.push_str(&format!(
-        "  ],\n  \"summary\": {{\n    \"crash_loss_total\": {},\n    \
-         \"recovered_total\": {},\n    \"recovery_ticks_max\": {},\n    \
-         \"failover_wall_us_total\": {wall_total},\n    \
-         \"failover_wall_us_max\": {wall_max}\n  }},\n",
-        records.iter().map(|r| r.crash_loss).sum::<u64>(),
-        records.iter().map(|r| r.recovered).sum::<u64>(),
-        records.iter().map(|r| r.recovery_ticks).max().unwrap_or(0),
-    ));
-    out.push_str(&format!(
-        "  \"total_runs\": {},\n  \"failed_runs\": {failed}\n}}\n",
-        records.len()
-    ));
-    out
-}
-
-/// The shard-count-invariant artifact: only the clean-path (severity 0)
-/// served digests, which a correct fleet reproduces for ANY shard count.
-/// CI byte-compares this file across `EMOLEAK_SHARDS` values.
-fn digest_artifact(records: &[RunRecord]) -> String {
-    let mut out =
-        String::from("# clean-path served digests: invariant across EMOLEAK_SHARDS\n");
-    for r in records.iter().filter(|r| r.severity == 0.0) {
-        out.push_str(&format!(
-            "{} seed={} digest={:016x}\n",
-            r.scenario, r.seed, r.served_digest
-        ));
-    }
-    out
+    Ok(vec![
+        ("offered", stats.offered.into()),
+        ("served", stats.served.into()),
+        ("rejected", stats.rejected.into()),
+        ("shed", stats.shed.into()),
+        ("migrated", stats.migrated.into()),
+        ("crash_loss", stats.crash_loss.into()),
+        ("recovered", stats.recovered.into()),
+        ("recovery_ticks", recovery_ticks.into()),
+        ("scrub_found", scrub_found.into()),
+        ("scrub_repaired", scrub_repaired.into()),
+        ("failovers_graceful", graceful.into()),
+        ("failovers_crash", crashes.into()),
+        ("live_shards", view.live.into()),
+        ("restart_burn", view.restart_burn.into()),
+        ("served_digest", Json::Hex(chaos::served_digest(&served))),
+    ])
 }
 
 fn main() -> Result<(), EmoleakError> {
     println!(
         "Fleet chaos: kills, disk losses, replica corruption, brown-outs, coordinator restarts"
     );
-
-    let severities: Vec<f64> = emoleak_exec::parse_list_checked(
-        "EMOLEAK_FLEET_SEVERITIES",
-        "comma-separated non-negative numbers",
-        |&s: &f64| s.is_finite() && s >= 0.0,
-    )?
-    .unwrap_or_else(|| vec![0.0, 1.0, 2.0]);
-    let seeds: u64 = emoleak_exec::parse_checked(
-        "EMOLEAK_FLEET_SEEDS",
-        "a positive count",
-        |&n: &u64| n > 0,
-    )?
-    .unwrap_or(2);
-    let env_cfg = FleetConfig::from_env()?;
-    let (shards, replicas) = (env_cfg.shards, env_cfg.replicas);
-
-    let mut grid = Vec::new();
-    for scenario in Scenario::ALL {
-        for &severity in &severities {
-            for seed in 0..seeds {
-                grid.push(RunSpec {
-                    scenario,
-                    severity,
-                    seed: 0xF1EE ^ (seed.wrapping_mul(0x9E37_79B9)) ^ (severity.to_bits() >> 17),
-                    shards,
-                    replicas,
-                    net: env_cfg.net,
-                });
-            }
-        }
-    }
+    let env = FleetConfig::from_env()?;
+    let grid = chaos::grid(&SCENARIOS, 0xF1EE, &[0.0, 1.0, 2.0], 2)?;
     // Order-preserving parallel map: the record order — and therefore the
     // JSON bytes — is the grid order under any EMOLEAK_THREADS.
-    let records = par_map_indexed(&grid, run_one);
+    let (records, walls): (Vec<_>, Vec<u64>) = par_map_indexed(&grid, |i, cell| {
+        let mut wall = Duration::ZERO;
+        let record =
+            chaos::run_cell("fleet_chaos", i, cell.fields("scenario"), |dir, violations| {
+                simulate(cell, &env, dir, violations, &mut wall)
+            });
+        (record, wall.as_micros() as u64)
+    })
+    .into_iter()
+    .unzip();
 
-    println!(
-        "{:<20} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>8} {:>5} {:>6} {:>6} {:>5} {:>5}",
-        "scenario", "sev", "ok", "offered", "served", "rejected", "shed", "migrated", "loss",
-        "recov", "fails", "live", "burn"
-    );
-    println!("{}", "-".repeat(108));
-    for r in &records {
-        println!(
-            "{:<20} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>8} {:>5} {:>6} {:>4}g{:>1}c {:>4} {:>5}",
-            r.scenario,
-            r.severity,
-            if r.ok { "ok" } else { "FAIL" },
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.migrated,
-            r.crash_loss,
-            r.recovered,
-            r.failovers_graceful,
-            r.failovers_crash,
-            r.live_shards,
-            r.restart_burn,
-        );
-        for v in &r.violations {
-            println!("    violation: {v}");
-        }
+    // The shard-count-invariant artifact: only the clean-path (severity 0)
+    // served digests, which a correct fleet reproduces for ANY shard
+    // count, kernel mode, replica setting or message plane.
+    let mut digests =
+        String::from("# clean-path served digests: invariant across EMOLEAK_SHARDS\n");
+    for (cell, record) in grid.iter().zip(&records).filter(|(c, _)| c.severity == 0.0) {
+        let digest = record.get("served_digest").and_then(Json::as_u64).unwrap_or(0);
+        digests.push_str(&format!("{} seed={} digest={digest:016x}\n", cell.name, cell.seed));
     }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    println!(
-        "\n{} runs ({} shards, {} replica(s)), {} violations; migrated: {}, recovered: {}, crash loss: {}",
-        records.len(),
-        shards,
-        replicas,
-        failed,
-        records.iter().map(|r| r.migrated).sum::<u64>(),
-        records.iter().map(|r| r.recovered).sum::<u64>(),
-        records.iter().map(|r| r.crash_loss).sum::<u64>(),
-    );
+    chaos::publish("fleet_clean_digest.txt", &digests);
 
-    let json = to_json(&records, shards, replicas);
-    let path = std::env::var("EMOLEAK_FLEET_JSON")
-        .unwrap_or_else(|_| "results/fleet_chaos.json".to_string());
-    match write_result(std::path::Path::new(&path), json.as_bytes()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path} ({e}); JSON follows:\n{json}"),
-    }
-    let digest = digest_artifact(&records);
-    let digest_path = std::env::var("EMOLEAK_FLEET_DIGEST")
-        .unwrap_or_else(|_| "results/fleet_clean_digest.txt".to_string());
-    match write_result(std::path::Path::new(&digest_path), digest.as_bytes()) {
-        Ok(()) => println!("wrote {digest_path}"),
-        Err(e) => println!("could not write {digest_path} ({e}); digests follow:\n{digest}"),
-    }
-    assert!(failed == 0, "{failed} fleet run(s) violated the contract");
+    // The wall-clock aggregates sit on their own `failover_wall_us` lines,
+    // so CI can strip them (`grep -v failover_wall_us`) and byte-compare
+    // the rest across EMOLEAK_THREADS.
+    let summary = [
+        ("crash_loss_total", chaos::column(&records, "crash_loss").sum::<u64>().into()),
+        ("recovered_total", chaos::column(&records, "recovered").sum::<u64>().into()),
+        ("recovery_ticks_max", chaos::column(&records, "recovery_ticks").max().unwrap_or(0).into()),
+        ("failover_wall_us_total", walls.iter().sum::<u64>().into()),
+        ("failover_wall_us_max", walls.iter().copied().max().unwrap_or(0).into()),
+    ];
+    chaos::finish(
+        "fleet_chaos",
+        &[("shards", env.shards.into()), ("replicas", env.replicas.into())],
+        &records,
+        &summary,
+        &[
+            "offered", "served", "rejected", "shed", "migrated", "crash_loss", "recovered",
+            "failovers_graceful", "failovers_crash", "live_shards", "restart_burn",
+        ],
+    );
     Ok(())
 }

@@ -22,14 +22,14 @@
 //!
 //! The simulation runs entirely on the admission layer's logical clock —
 //! no wall time reaches the report — and the grid is parallelized with
-//! order-preserving `par_map_indexed`, so `results/overload_chaos.json`
-//! is **byte-identical under any `EMOLEAK_THREADS`**. Knobs:
-//! `EMOLEAK_OVERLOAD_SEVERITIES` (comma list, default `0,1,2,4`),
-//! `EMOLEAK_OVERLOAD_SEEDS` (default 2), `EMOLEAK_OVERLOAD_JSON` (report
-//! path). Exits non-zero if any run violates the contract.
+//! order-preserving `par_map_indexed`, so `overload_chaos.json` is
+//! **byte-identical under any `EMOLEAK_THREADS`**. The grid, its knobs
+//! (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2,4`; `EMOLEAK_CHAOS_SEEDS`,
+//! default 2) and the report live in `emoleak_bench::chaos`. Exits
+//! non-zero if any run violates the contract.
 
 use emoleak_admission::{AdmissionConfig, AdmissionController, BreakerConfig, CodelConfig};
-use emoleak_bench::write_result;
+use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::admission::{AdmissionError, FleetState};
 use emoleak_core::EmoleakError;
 use emoleak_exec::{derive_seed, par_map_indexed, splitmix64};
@@ -50,23 +50,14 @@ enum Scenario {
     MemoryPressure,
 }
 
+const SCENARIOS: [(&str, Scenario); 4] = [
+    ("load_ramp", Scenario::LoadRamp),
+    ("tenant_flood", Scenario::TenantFlood),
+    ("slow_consumer", Scenario::SlowConsumer),
+    ("memory_pressure", Scenario::MemoryPressure),
+];
+
 impl Scenario {
-    const ALL: [Scenario; 4] = [
-        Scenario::LoadRamp,
-        Scenario::TenantFlood,
-        Scenario::SlowConsumer,
-        Scenario::MemoryPressure,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Scenario::LoadRamp => "load_ramp",
-            Scenario::TenantFlood => "tenant_flood",
-            Scenario::SlowConsumer => "slow_consumer",
-            Scenario::MemoryPressure => "memory_pressure",
-        }
-    }
-
     fn config(self) -> AdmissionConfig {
         let base = AdmissionConfig {
             max_sessions: 6,
@@ -178,77 +169,14 @@ fn capacity(scenario: Scenario, severity: f64, now: u64) -> usize {
     }
 }
 
-struct RunSpec {
-    scenario: Scenario,
-    severity: f64,
-    seed: u64,
-}
-
-struct RunRecord {
-    scenario: &'static str,
-    severity: f64,
-    seed: u64,
-    ok: bool,
-    violations: Vec<String>,
-    offered: u64,
-    served: u64,
-    rejected: u64,
-    shed: u64,
-    mem_peak: u64,
-    peak_sessions: usize,
-    fleet_transitions: usize,
-    worst_state: String,
-    /// Served-chunk queue sojourns, ticks: `[p50, p99, p99.9, max]`.
-    sojourn_ticks: [u64; 4],
-}
-
-fn run_one(index: usize, spec: &RunSpec) -> RunRecord {
+fn simulate(
+    spec: &Cell<Scenario>,
+    dir: &std::path::Path,
+    violations: &mut Vec<String>,
+) -> Result<Fields, String> {
     let cfg = spec.scenario.config();
-    let journal = std::env::temp_dir().join(format!(
-        "emoleak-overload-{}-{index}.log",
-        std::process::id()
-    ));
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        simulate(spec, &cfg, &journal)
-    }));
-    let _ = std::fs::remove_file(&journal);
-    match outcome {
-        Ok(record) => record,
-        Err(_) => RunRecord {
-            scenario: spec.scenario.name(),
-            severity: spec.severity,
-            seed: spec.seed,
-            ok: false,
-            violations: vec!["escaped panic in the admission layer".to_string()],
-            offered: 0,
-            served: 0,
-            rejected: 0,
-            shed: 0,
-            mem_peak: 0,
-            peak_sessions: 0,
-            fleet_transitions: 0,
-            worst_state: "-".to_string(),
-            sojourn_ticks: [0; 4],
-        },
-    }
-}
-
-/// `[p50, p99, p99.9, max]` of `sojourns` (all zeros when nothing was
-/// served). Nearest-rank on the sorted sample.
-fn sojourn_summary(mut sojourns: Vec<u64>) -> [u64; 4] {
-    if sojourns.is_empty() {
-        return [0; 4];
-    }
-    sojourns.sort_unstable();
-    let rank = |p: f64| {
-        let idx = ((p / 100.0) * sojourns.len() as f64).ceil() as usize;
-        sojourns[idx.clamp(1, sojourns.len()) - 1]
-    };
-    [rank(50.0), rank(99.0), rank(99.9), *sojourns.last().unwrap()]
-}
-
-fn simulate(spec: &RunSpec, cfg: &AdmissionConfig, journal: &std::path::Path) -> RunRecord {
-    let sink = DurableSink::create(journal).expect("temp journal must be creatable");
+    let journal = dir.join("admission.log");
+    let sink = DurableSink::create(&journal).map_err(|e| format!("journal unusable: {e}"))?;
     let mut ctrl = AdmissionController::new(cfg.clone()).with_durable(sink.clone());
     let mut held: Vec<&str> = Vec::new();
     let mut sojourns: Vec<u64> = Vec::new();
@@ -293,7 +221,6 @@ fn simulate(spec: &RunSpec, cfg: &AdmissionConfig, journal: &std::path::Path) ->
 
     let stats = ctrl.stats();
     let tenants = ctrl.tenant_stats();
-    let mut violations = Vec::new();
 
     if stats.offered != stats.served + stats.rejected + stats.shed + stats.migrated {
         violations.push(format!(
@@ -389,7 +316,7 @@ fn simulate(spec: &RunSpec, cfg: &AdmissionConfig, journal: &std::path::Path) ->
     if let Some(e) = sink.take_error() {
         violations.push(format!("journal write failed: {e}"));
     }
-    match recover_run(journal) {
+    match recover_run(&journal) {
         Ok((run, defects)) => {
             if !defects.is_empty() {
                 violations.push(format!("journal recovery defects: {defects:?}"));
@@ -415,151 +342,51 @@ fn simulate(spec: &RunSpec, cfg: &AdmissionConfig, journal: &std::path::Path) ->
         Err(e) => violations.push(format!("journal recovery failed: {e}")),
     }
 
-    RunRecord {
-        scenario: spec.scenario.name(),
-        severity: spec.severity,
-        seed: spec.seed,
-        ok: violations.is_empty(),
-        violations,
-        offered: stats.offered,
-        served: stats.served,
-        rejected: stats.rejected,
-        shed: stats.shed,
-        mem_peak: stats.mem_peak,
-        peak_sessions: stats.peak_sessions,
-        fleet_transitions: ctrl.log().fleet_transitions().len(),
-        worst_state: ctrl
-            .log()
-            .worst_fleet_state()
-            .map_or_else(|| "-".to_string(), |s: FleetState| s.to_string()),
-        sojourn_ticks: sojourn_summary(sojourns),
-    }
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn to_json(records: &[RunRecord]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"severity\": {}, \"seed\": {}, \"ok\": {}, \
-             \"offered\": {}, \"served\": {}, \"rejected\": {}, \"shed\": {}, \
-             \"mem_peak\": {}, \"peak_sessions\": {}, \"fleet_transitions\": {}, \
-             \"worst_state\": \"{}\", \
-             \"sojourn_ticks\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, \
-             \"violations\": [{}]}}{}\n",
-            r.scenario,
-            json_num(r.severity),
-            r.seed,
-            r.ok,
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.mem_peak,
-            r.peak_sessions,
-            r.fleet_transitions,
-            r.worst_state,
-            r.sojourn_ticks[0],
-            r.sojourn_ticks[1],
-            r.sojourn_ticks[2],
-            r.sojourn_ticks[3],
-            r.violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    out.push_str(&format!(
-        "  ],\n  \"total_runs\": {},\n  \"failed_runs\": {failed}\n}}\n",
-        records.len()
-    ));
-    out
+    sojourns.sort_unstable();
+    let sojourn = |p: f64| Json::Int(chaos::percentile(&sojourns, p / 100.0));
+    Ok(vec![
+        ("offered", stats.offered.into()),
+        ("served", stats.served.into()),
+        ("rejected", stats.rejected.into()),
+        ("shed", stats.shed.into()),
+        ("mem_peak", stats.mem_peak.into()),
+        ("peak_sessions", stats.peak_sessions.into()),
+        ("fleet_transitions", ctrl.log().fleet_transitions().len().into()),
+        (
+            "worst_state",
+            ctrl.log()
+                .worst_fleet_state()
+                .map_or_else(|| "-".to_string(), |s: FleetState| s.to_string())
+                .into(),
+        ),
+        (
+            "sojourn_ticks",
+            Json::Obj(vec![
+                ("p50", sojourn(50.0)),
+                ("p99", sojourn(99.0)),
+                ("p999", sojourn(99.9)),
+                ("max", Json::Int(sojourns.last().copied().unwrap_or(0))),
+            ]),
+        ),
+    ])
 }
 
 fn main() -> Result<(), EmoleakError> {
     println!("Overload chaos: admission control, bulkheads, shedding, and the fleet breaker");
-
-    let severities: Vec<f64> = emoleak_exec::parse_list_checked(
-        "EMOLEAK_OVERLOAD_SEVERITIES",
-        "comma-separated non-negative numbers",
-        |&s: &f64| s.is_finite() && s >= 0.0,
-    )?
-    .unwrap_or_else(|| vec![0.0, 1.0, 2.0, 4.0]);
-    let seeds: u64 = emoleak_exec::parse_checked(
-        "EMOLEAK_OVERLOAD_SEEDS",
-        "a positive count",
-        |&n: &u64| n > 0,
-    )?
-    .unwrap_or(2);
-
-    let mut grid = Vec::new();
-    for scenario in Scenario::ALL {
-        for &severity in &severities {
-            for seed in 0..seeds {
-                grid.push(RunSpec {
-                    scenario,
-                    severity,
-                    seed: 0x0A3D ^ (seed.wrapping_mul(0x9E37_79B9)) ^ (severity.to_bits() >> 17),
-                });
-            }
-        }
-    }
+    let grid = chaos::grid(&SCENARIOS, 0x0A3D, &[0.0, 1.0, 2.0, 4.0], 2)?;
     // Order-preserving parallel map: the record order — and therefore the
     // JSON bytes — is the grid order under any EMOLEAK_THREADS.
-    let records = par_map_indexed(&grid, run_one);
-
-    println!(
-        "{:<16} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>11} {:>6} {:>6}",
-        "scenario", "sev", "ok", "offered", "served", "rejected", "shed", "mem_peak", "trans",
-        "worst", "p99.9", "max"
+    let records = par_map_indexed(&grid, |i, cell| {
+        chaos::run_cell("overload_chaos", i, cell.fields("scenario"), |dir, violations| {
+            simulate(cell, dir, violations)
+        })
+    });
+    chaos::finish(
+        "overload_chaos",
+        &[],
+        &records,
+        &[],
+        &["offered", "served", "rejected", "shed", "mem_peak", "fleet_transitions", "worst_state"],
     );
-    println!("{}", "-".repeat(106));
-    for r in &records {
-        println!(
-            "{:<16} {:>4} {:>6} {:>8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>11} {:>6} {:>6}",
-            r.scenario,
-            r.severity,
-            if r.ok { "ok" } else { "FAIL" },
-            r.offered,
-            r.served,
-            r.rejected,
-            r.shed,
-            r.mem_peak,
-            r.fleet_transitions,
-            r.worst_state,
-            r.sojourn_ticks[2],
-            r.sojourn_ticks[3],
-        );
-        for v in &r.violations {
-            println!("    violation: {v}");
-        }
-    }
-    let failed = records.iter().filter(|r| !r.ok).count();
-    println!(
-        "\n{} runs, {} violations; rejected: {}, shed: {}",
-        records.len(),
-        failed,
-        records.iter().map(|r| r.rejected).sum::<u64>(),
-        records.iter().map(|r| r.shed).sum::<u64>(),
-    );
-
-    let json = to_json(&records);
-    let path = std::env::var("EMOLEAK_OVERLOAD_JSON")
-        .unwrap_or_else(|_| "results/overload_chaos.json".to_string());
-    match write_result(std::path::Path::new(&path), json.as_bytes()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path} ({e}); JSON follows:\n{json}"),
-    }
-    assert!(failed == 0, "{failed} overload run(s) violated the contract");
     Ok(())
 }

@@ -12,6 +12,7 @@
 //! The 24 (axis, severity) campaigns run in parallel on `EMOLEAK_THREADS`
 //! workers with bit-identical output at any worker count.
 
+use emoleak_bench::chaos::Json;
 use emoleak_bench::{banner, campaign_fingerprint, clips_per_cell, run_campaign, write_result};
 use emoleak_core::prelude::*;
 use emoleak_core::{evaluate_features, ClassifierKind, Protocol};
@@ -111,21 +112,13 @@ fn decode_cell(bytes: &[u8]) -> Option<Cell> {
     })
 }
 
-/// Renders an `f64` as a JSON number, mapping non-finite values to `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn to_json(random_guess: f64, severities: &[f64], results: &[(String, Vec<Cell>)]) -> String {
+fn render_json(random_guess: f64, severities: &[f64], results: &[(String, Vec<Cell>)]) -> String {
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"random_guess\": {},\n", json_num(random_guess)));
+    let num = |v: f64| Json::Num(v, 6);
+    out.push_str(&format!("  \"random_guess\": {},\n", num(random_guess)));
     out.push_str(&format!(
-        "  \"severities\": [{}],\n",
-        severities.iter().map(|&s| json_num(s)).collect::<Vec<_>>().join(", ")
+        "  \"severities\": {},\n",
+        Json::Arr(severities.iter().map(|&s| num(s)).collect())
     ));
     out.push_str("  \"axes\": [\n");
     for (i, (name, cells)) in results.iter().enumerate() {
@@ -135,8 +128,8 @@ fn to_json(random_guess: f64, severities: &[f64], results: &[(String, Vec<Cell>)
                 "      {{\"severity\": {}, \"accuracy\": {}, \"regions\": {}, \
                  \"dropped\": {}, \"duplicated\": {}, \"clipped\": {}, \
                  \"bursts\": {}, \"suspensions\": {}, \"throttled\": {}}}{}\n",
-                json_num(c.severity),
-                json_num(c.accuracy),
+                num(c.severity),
+                num(c.accuracy),
                 c.regions,
                 c.faults.dropped,
                 c.faults.duplicated,
@@ -237,7 +230,7 @@ fn main() -> Result<(), EmoleakError> {
         println!("  {name:<12} faults at s=4: {f}");
     }
 
-    let json = to_json(random_guess, &severities, &results);
+    let json = render_json(random_guess, &severities, &results);
     let path = std::env::var("EMOLEAK_SWEEP_JSON")
         .unwrap_or_else(|_| "robustness_sweep.json".to_string());
     // Atomic write: an interrupt leaves either the previous sweep's JSON or

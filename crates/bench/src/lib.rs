@@ -32,6 +32,8 @@ use emoleak_durable::{
 };
 use std::path::{Path, PathBuf};
 
+pub mod chaos;
+
 /// Clips per (speaker, emotion) cell for this run (`EMOLEAK_CLIPS`,
 /// default 40). Strict: a set-but-malformed value errors instead of
 /// silently running the default campaign size.
@@ -440,6 +442,20 @@ mod tests {
             std::fs::read_to_string(&path).unwrap(),
             "header\ncell-a cell-b\nacc 86.30%\n"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chaos_reports_land_in_the_results_dir() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir()
+            .join(format!("emoleak-bench-chaos-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("EMOLEAK_RESULTS_DIR", &dir);
+        let path = chaos::publish("unit_chaos.json", "{}\n");
+        std::env::remove_var("EMOLEAK_RESULTS_DIR");
+        assert_eq!(path, dir.join("unit_chaos.json"));
+        assert_eq!(std::fs::read_to_string(dir.join("unit_chaos.json")).unwrap(), "{}\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
