@@ -30,9 +30,9 @@ use crate::config::AdmissionConfig;
 use crate::tokens::TokenBucket;
 use emoleak_core::admission::{AdmissionError, FleetState};
 use emoleak_stream::durable::{ChunkAdmit, ChunkServe, DurableSink};
+use emoleak_stream::gauge::ByteGauge;
 use emoleak_stream::ladder::LevelCap;
 use emoleak_stream::log::{ServiceEvent, ServiceLog};
-use emoleak_stream::queue::ByteGauge;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -167,7 +167,7 @@ impl AdmissionController {
         Arc::clone(&self.cap)
     }
 
-    /// The shared byte gauge sessions must meter their queues with.
+    /// The shared byte gauge sessions must meter what they hold on.
     pub fn memory(&self) -> Arc<ByteGauge> {
         Arc::clone(&self.memory)
     }

@@ -7,14 +7,14 @@
 //! a [`SessionPermit`] that (a) holds the tenant's and the fleet's
 //! bulkhead slots until dropped, and (b)
 //! [`configure`](SessionPermit::configure)s a [`StreamConfig`] with the
-//! shared byte gauge and fleet level cap — so every admitted session's
-//! queues bill the one budget and obey the one quality ceiling.
+//! shared byte gauge and fleet level cap — so every admitted session
+//! bills the one budget and obeys the one quality ceiling.
 
 use crate::config::AdmissionConfig;
 use crate::controller::AdmissionController;
 use emoleak_core::admission::AdmissionError;
+use emoleak_stream::gauge::ByteGauge;
 use emoleak_stream::ladder::LevelCap;
-use emoleak_stream::queue::ByteGauge;
 use emoleak_stream::service::StreamConfig;
 use std::sync::{Arc, Mutex};
 
@@ -86,8 +86,8 @@ impl SessionPermit {
     }
 
     /// Plugs the fleet's shared byte gauge and level cap into a session
-    /// config: the session's queues meter the fleet budget and its
-    /// classify stage obeys the fleet ceiling.
+    /// config: the session meters what it holds on the fleet budget and
+    /// its classify step obeys the fleet ceiling.
     #[must_use]
     pub fn configure(&self, cfg: StreamConfig) -> StreamConfig {
         StreamConfig {

@@ -5,13 +5,14 @@
 //! occasionally panicking transport on top, and asserts the *robustness
 //! contract* on every run:
 //!
-//! * liveness — the run terminates (no deadlock; the supervisor's global
-//!   timeout is the backstop) and returns `Ok`;
-//! * bounded memory — queue depth never exceeds its configured capacity;
-//! * zero escaped panics — injected worker panics are absorbed by
-//!   supervision, never propagated to the caller;
-//! * honest accounting — every ingested chunk is either processed or
-//!   counted as dropped, and a clean run reports zero resilience events.
+//! * liveness — the run terminates (`run_timeout` is the backstop) and
+//!   returns `Ok`;
+//! * bounded memory — the session never holds more chunks than the
+//!   campaign's longest window, and its metered bytes all return to the
+//!   gauge when it ends;
+//! * zero escaped panics — injected step panics are absorbed by the panic
+//!   firewall, never propagated to the caller;
+//! * honest accounting — a clean run reports zero resilience events.
 //!
 //! Prints a summary table and writes the full per-run results to
 //! `stream_chaos.json`. The grid, its knobs (`EMOLEAK_CHAOS_SEVERITIES`,
@@ -25,9 +26,7 @@ use emoleak_core::online::{ModelBundle, RecordedCampaign};
 use emoleak_core::prelude::*;
 use emoleak_features::regions::RegionDetector;
 use emoleak_phone::FaultProfile;
-use emoleak_stream::{
-    FlakySource, OverflowPolicy, ReplaySource, StreamConfig, StreamService,
-};
+use emoleak_stream::{ByteGauge, FlakySource, ReplaySource, StreamConfig, StreamService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,9 +52,8 @@ fn simulate(
     inject_panic: bool,
     violations: &mut Vec<String>,
 ) -> Result<Fields, String> {
+    let gauge = Arc::new(ByteGauge::new());
     let config = StreamConfig {
-        queue_capacity: 32,
-        overflow: OverflowPolicy::Block,
         // High severities get an unmeetable deadline so the degradation
         // ladder is exercised under chaos, not just in unit tests.
         deadline: if cell.severity >= 4.0 {
@@ -64,13 +62,14 @@ fn simulate(
             Duration::from_millis(50)
         },
         panic_after_chunks: inject_panic.then_some(5),
+        memory: Some(Arc::clone(&gauge)),
         ..StreamConfig::default()
     };
-    let capacity = config.queue_capacity;
+    let chunk_len = config.chunk_len;
     let service =
         StreamService::new(Arc::clone(bundle), detector.clone(), campaign.fs, config);
     let source = FlakySource::new(
-        ReplaySource::from_campaign(campaign, service.config().chunk_len),
+        ReplaySource::from_campaign(campaign, chunk_len),
         fail_rate(cell.severity),
         cell.seed,
     );
@@ -79,17 +78,20 @@ fn simulate(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let report = outcome.map_err(|e| format!("run failed: {e}"))?;
     let s = &report.stats;
-    if s.max_chunk_depth > capacity || s.max_region_depth > capacity {
+    let longest = campaign
+        .windows
+        .iter()
+        .map(|(w, _, _)| w.len().div_ceil(chunk_len).max(1))
+        .max()
+        .unwrap_or(0);
+    if s.max_chunk_depth > longest {
         violations.push(format!(
-            "queue bound exceeded: chunk depth {} / region depth {} > capacity {capacity}",
-            s.max_chunk_depth, s.max_region_depth
+            "memory bound exceeded: held {} chunks, the longest window has {longest}",
+            s.max_chunk_depth
         ));
     }
-    if s.chunks_processed + s.dropped_chunks != s.chunks_ingested {
-        violations.push(format!(
-            "chunk accounting broken: {} processed + {} dropped != {} ingested",
-            s.chunks_processed, s.dropped_chunks, s.chunks_ingested
-        ));
+    if gauge.charged() != 0 {
+        violations.push(format!("finished run still holds {} metered bytes", gauge.charged()));
     }
     let expected_panics = u32::from(inject_panic);
     if s.panic_restarts != expected_panics {
@@ -100,11 +102,10 @@ fn simulate(
     }
     if cell.severity == 0.0 && !inject_panic {
         // Clean path: the resilience machinery must stay silent.
-        if s.retries != 0 || s.dropped_chunks != 0 || !report.log.events().is_empty() {
+        if s.retries != 0 || !report.log.events().is_empty() {
             violations.push(format!(
-                "clean run was not silent: {} retries, {} drops, {} events",
+                "clean run was not silent: {} retries, {} events",
                 s.retries,
-                s.dropped_chunks,
                 report.log.events().len()
             ));
         }
@@ -120,7 +121,6 @@ fn simulate(
     Ok(vec![
         ("regions", s.regions.into()),
         ("retries", s.retries.into()),
-        ("dropped", s.dropped_chunks.into()),
         ("deadline_misses", s.deadline_misses.into()),
         ("transitions", report.log.transitions().len().into()),
         (
@@ -144,7 +144,7 @@ fn simulate(
 }
 
 fn main() -> Result<(), EmoleakError> {
-    // The injected worker panics are absorbed by supervision; keep their
+    // The injected step panics are absorbed by the firewall; keep their
     // default-hook backtraces out of the report. Real panics still print.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -172,8 +172,8 @@ fn main() -> Result<(), EmoleakError> {
     let grid = chaos::grid(&PRESETS, 0xC4A0, &[0.0, 0.5, 1.0, 2.0, 4.0, 8.0], 3)?;
     // Cells run one at a time: their latency fields are wall-clock. The
     // seeds of one (preset, severity) pair share its faulted recording and
-    // vary the transport failure pattern; the last also injects a worker
-    // panic to exercise supervision.
+    // vary the transport failure pattern; the last also injects a step
+    // panic to exercise the panic firewall.
     let mut records = Vec::with_capacity(grid.len());
     for cells in grid.chunk_by(|a, b| (a.name, a.severity) == (b.name, b.severity)) {
         let faults = (cells[0].scenario)().with_severity(cells[0].severity);
@@ -194,7 +194,7 @@ fn main() -> Result<(), EmoleakError> {
         &[],
         &records,
         &[],
-        &["regions", "retries", "dropped", "transitions", "panic_restarts", "wall_ms"],
+        &["regions", "retries", "transitions", "panic_restarts", "wall_ms"],
     );
     Ok(())
 }

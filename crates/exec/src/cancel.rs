@@ -1,47 +1,16 @@
-//! Cooperative cancellation and deadlines for pooled and supervised tasks.
+//! Deadlines for tasks that must give up in bounded time.
 //!
-//! The pool runs plain `std` threads, which cannot be killed from outside —
-//! the only sound way to stop a wedged or superseded worker is for the
-//! worker itself to notice and bail out. [`CancellationToken`] is that
-//! signal: cheap to clone, checked between work items (or between chunks of
-//! a long item), flipped once by a supervisor and never unflipped.
-//! [`Deadline`] is the time-budget counterpart used by deadline-aware
-//! stages: it answers "how much budget is left" without any callback or
-//! timer thread.
+//! A [`Deadline`] answers "how much budget is left" without any callback or
+//! timer thread, so a loop can check it between steps and cap every sleep
+//! at what remains. The streaming service (`emoleak-stream`) arms one per
+//! run from its `run_timeout`: retry backoff never sleeps past it, and a
+//! run that reaches it ends with a typed timeout error instead of hanging.
 //!
-//! Both are hooks, not enforcement: a task that never checks its token runs
-//! to completion. The streaming service (`emoleak-stream`) pairs them with
-//! a watchdog that abandons non-cooperating workers and spawns
-//! replacements.
+//! It is a hook, not enforcement: a call that never returns is not
+//! interrupted, which is why the service requires its sources to return in
+//! bounded time.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared cancellation flag: one writer (the supervisor), many readers
-/// (the workers). Cloning shares the underlying flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancellationToken {
-    cancelled: Arc<AtomicBool>,
-}
-
-impl CancellationToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancellationToken::default()
-    }
-
-    /// Signals every holder of this token (and its clones) to stop at the
-    /// next check. Idempotent; cancellation is never revoked.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-}
 
 /// A wall-clock time budget that starts counting at construction.
 #[derive(Debug, Clone, Copy)]
@@ -75,32 +44,6 @@ impl Deadline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn token_starts_live_and_latches() {
-        let token = CancellationToken::new();
-        assert!(!token.is_cancelled());
-        let clone = token.clone();
-        token.cancel();
-        assert!(token.is_cancelled());
-        assert!(clone.is_cancelled(), "clones share the flag");
-        token.cancel(); // idempotent
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn token_crosses_threads() {
-        let token = CancellationToken::new();
-        let worker_view = token.clone();
-        let handle = std::thread::spawn(move || {
-            while !worker_view.is_cancelled() {
-                std::thread::yield_now();
-            }
-            true
-        });
-        token.cancel();
-        assert!(handle.join().unwrap());
-    }
 
     #[test]
     fn deadline_expires_and_clamps() {

@@ -36,7 +36,7 @@ pub mod pool;
 pub mod reduce;
 pub mod rng;
 
-pub use cancel::{CancellationToken, Deadline};
+pub use cancel::Deadline;
 pub use env::{parse_checked, parse_list_checked, EnvError};
 pub use pool::{par_map_indexed, par_map_vec_indexed, threads, with_threads};
 pub use reduce::sum_ordered;

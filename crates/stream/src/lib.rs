@@ -3,19 +3,20 @@
 //!
 //! Where `emoleak-core`'s batch pipeline harvests a whole recorded campaign
 //! at once, this crate classifies emotions *as the accelerometer stream
-//! arrives*: fixed-size chunks flow through bounded queues into incremental
-//! region detection, feature extraction, and per-region classification
-//! under a configurable deadline.
+//! arrives*: each session pulls fixed-size chunks, reassembles them into
+//! windows, runs incremental region detection and feature extraction, and
+//! classifies every region under a configurable deadline — one loop on the
+//! caller's thread.
 //!
 //! The crate is built around the failure modes a long-lived service meets
 //! in the wild, each handled by a dedicated module:
 //!
 //! | failure | mechanism | module |
 //! |---|---|---|
-//! | transient source errors | seeded exponential backoff | [`retry`] |
-//! | slow consumers | bounded queues + explicit overflow policy | [`queue`] |
+//! | transient source errors | seeded exponential backoff, bounded by the run's deadline | [`retry`] |
+//! | unbounded buffering | one window held at a time, metered on a shared byte gauge | [`service`], [`gauge`] |
 //! | sustained overload | deadline-miss degradation ladder with hysteresis | [`ladder`] |
-//! | worker panics / wedges | supervision: restart, watchdog, abandon | [`supervisor`] |
+//! | step panics / stuck runs | per-step panic firewall with a restart budget, run timeout | [`service`] |
 //!
 //! Everything the resilience machinery does is recorded in a deterministic
 //! [`ServiceLog`], and on a clean stream the service's emissions are
@@ -27,13 +28,12 @@
 
 pub mod disk;
 pub mod durable;
+pub mod gauge;
 pub mod ladder;
 pub mod log;
-pub mod queue;
 pub mod retry;
 pub mod service;
 pub mod source;
-pub mod supervisor;
 
 pub use disk::{DiskGauge, DiskGaugeConfig, DiskOutcome, DurabilityTransition};
 pub use durable::{
@@ -41,25 +41,22 @@ pub use durable::{
     REC_CHUNK_ADMIT, REC_CHUNK_SERVE, REC_DURABILITY, REC_EMISSION, REC_FLEET_TRANSITION,
     REC_LOAD_SHED, REC_RUN_SUMMARY, REC_SHARD_LEDGER, REC_TRANSITION,
 };
+pub use gauge::ByteGauge;
 pub use ladder::{DegradationLadder, LadderConfig, LevelCap, Transition};
 pub use log::{ServiceEvent, ServiceLog};
-pub use queue::{BoundedQueue, ByteGauge, OverflowPolicy, PopOutcome, PushOutcome};
 pub use retry::{retry_with_backoff, RetryError, RetryPolicy};
 pub use service::{
     RegionEmission, StreamConfig, StreamError, StreamReport, StreamService, StreamStats,
+    SupervisionError,
 };
 pub use source::{
     FlakySource, ReplaySource, SampleSource, SourceChunk, SourceError, ValidatingSource,
 };
-pub use supervisor::{
-    supervise, Heartbeat, Stage, StageCtx, SupervisionError, SupervisionReport,
-    SupervisorConfig,
-};
 
 /// Commonly used types for streaming consumers.
 pub mod prelude {
+    pub use crate::gauge::ByteGauge;
     pub use crate::ladder::{LadderConfig, LevelCap};
-    pub use crate::queue::{ByteGauge, OverflowPolicy};
     pub use crate::service::{StreamConfig, StreamError, StreamReport, StreamService};
     pub use crate::source::{FlakySource, ReplaySource, SampleSource, ValidatingSource};
     pub use emoleak_core::online::{InferenceLevel, ModelBundle, Verdict};

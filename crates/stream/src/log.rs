@@ -3,7 +3,7 @@
 //!
 //! Chaos assertions and operators both need to know *what the service did
 //! to survive* — which rungs it degraded through, how often retries saved a
-//! read, which workers panicked and were restarted. [`ServiceLog`] records
+//! read, which steps panicked and were absorbed. [`ServiceLog`] records
 //! those as typed events ordered by a logical clock (the running region /
 //! chunk counters), not wall-clock timestamps, so a clean-path run produces
 //! a byte-identical log every time.
@@ -36,26 +36,15 @@ pub enum ServiceEvent {
         /// Retries the read needed.
         retries: u32,
     },
-    /// A worker stage panicked and was restarted.
+    /// A session step panicked; the panic firewall absorbed it and the
+    /// session went on without that step's work.
     WorkerPanicked {
-        /// Stage name.
+        /// Step name: `ingest`, `extract` or `classify`.
         stage: &'static str,
-        /// Restarts of this stage so far (this one included).
+        /// Restarts of this step so far (this one included).
         restarts: u32,
         /// The panic message, if it carried one.
         message: String,
-    },
-    /// A worker stopped heartbeating and was abandoned + replaced.
-    WatchdogFired {
-        /// Stage name.
-        stage: &'static str,
-        /// Restarts of this stage so far (this one included).
-        restarts: u32,
-    },
-    /// A full queue evicted its oldest item (`DropOldest` policy).
-    ChunkDropped {
-        /// Total evictions on that queue so far.
-        total: u64,
     },
     /// The fleet breaker moved the whole fleet to a new overload state.
     FleetTransition {
@@ -138,19 +127,11 @@ impl ServiceLog {
         self.transitions().iter().map(|t| t.to).max()
     }
 
-    /// Count of worker panics absorbed.
+    /// Count of step panics absorbed.
     pub fn panics(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e, ServiceEvent::WorkerPanicked { .. }))
-            .count()
-    }
-
-    /// Count of watchdog-driven worker replacements.
-    pub fn watchdog_fires(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ServiceEvent::WatchdogFired { .. }))
             .count()
     }
 
@@ -240,7 +221,6 @@ mod tests {
         assert_eq!(log.transitions().len(), 3);
         assert_eq!(log.worst_level(), Some(EnergyOnly));
         assert_eq!(log.panics(), 1);
-        assert_eq!(log.watchdog_fires(), 0);
         assert_eq!(log.source_recoveries(), 1);
     }
 

@@ -4,9 +4,11 @@
 //! are absorbed here: the service retries the read with exponentially
 //! growing delays plus full jitter. The jitter is *seeded* — drawn from
 //! `derive_seed(seed, attempt)` like every other random stream in the repo
-//! — so a chaos run's retry timing is as reproducible as its data.
+//! — so a chaos run's retry timing is as reproducible as its data. Every
+//! backoff sleep is capped by the run's [`Deadline`], so retrying never
+//! outlives the run.
 
-use emoleak_exec::CancellationToken;
+use emoleak_exec::Deadline;
 use std::time::Duration;
 
 /// Backoff schedule for transient-error retries.
@@ -57,30 +59,31 @@ pub enum RetryError<E> {
     Exhausted(E),
     /// The operation failed in a way retrying cannot fix.
     Permanent(E),
-    /// The surrounding stage was cancelled mid-retry.
-    Cancelled,
+    /// The deadline passed before an attempt succeeded.
+    TimedOut,
 }
 
 /// Runs `op` under `policy`, sleeping the backoff between transient
-/// failures. `op` classifies its own errors: `Ok(Err(e))` is transient,
-/// `Err(e)` is permanent. Returns the number of retries that were needed
-/// alongside the success value.
+/// failures but never past `deadline`. `op` classifies its own errors:
+/// `Ok(Err(e))` is transient, `Err(e)` is permanent. Returns the number of
+/// retries that were needed alongside the success value.
 ///
 /// # Errors
 ///
 /// [`RetryError::Exhausted`] after `max_attempts` transient failures,
 /// [`RetryError::Permanent`] immediately on a permanent failure, and
-/// [`RetryError::Cancelled`] if `token` fires between attempts.
+/// [`RetryError::TimedOut`] once `deadline` has passed: no attempt starts
+/// after it.
 pub fn retry_with_backoff<T, E>(
     policy: &RetryPolicy,
-    token: &CancellationToken,
+    deadline: &Deadline,
     mut op: impl FnMut() -> Result<Result<T, E>, E>,
 ) -> Result<(T, u32), RetryError<E>> {
     let attempts = policy.max_attempts.max(1);
     let mut retries = 0;
     loop {
-        if token.is_cancelled() {
-            return Err(RetryError::Cancelled);
+        if deadline.expired() {
+            return Err(RetryError::TimedOut);
         }
         match op() {
             Ok(Ok(value)) => return Ok((value, retries)),
@@ -90,7 +93,7 @@ pub fn retry_with_backoff<T, E>(
                 if retries >= attempts {
                     return Err(RetryError::Exhausted(e));
                 }
-                std::thread::sleep(policy.delay(retries));
+                std::thread::sleep(policy.delay(retries).min(deadline.remaining()));
             }
         }
     }
@@ -124,9 +127,9 @@ mod tests {
     #[test]
     fn succeeds_after_transient_failures() {
         let policy = RetryPolicy { base_delay: Duration::from_micros(10), ..Default::default() };
-        let token = CancellationToken::new();
+        let deadline = Deadline::within(Duration::from_secs(60));
         let mut calls = 0;
-        let out = retry_with_backoff(&policy, &token, || {
+        let out = retry_with_backoff(&policy, &deadline, || {
             calls += 1;
             if calls < 3 { Ok(Err("flaky")) } else { Ok(Ok(calls)) }
         });
@@ -140,9 +143,9 @@ mod tests {
             base_delay: Duration::from_micros(10),
             ..Default::default()
         };
-        let token = CancellationToken::new();
+        let deadline = Deadline::within(Duration::from_secs(60));
         let mut calls = 0u32;
-        let out: Result<((), u32), _> = retry_with_backoff(&policy, &token, || {
+        let out: Result<((), u32), _> = retry_with_backoff(&policy, &deadline, || {
             calls += 1;
             Ok(Err(calls))
         });
@@ -153,9 +156,9 @@ mod tests {
     #[test]
     fn permanent_errors_short_circuit() {
         let policy = RetryPolicy::default();
-        let token = CancellationToken::new();
+        let deadline = Deadline::within(Duration::from_secs(60));
         let mut calls = 0u32;
-        let out: Result<((), u32), _> = retry_with_backoff(&policy, &token, || {
+        let out: Result<((), u32), _> = retry_with_backoff(&policy, &deadline, || {
             calls += 1;
             Err("dead")
         });
@@ -164,17 +167,25 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_stops_retrying() {
-        let policy = RetryPolicy { base_delay: Duration::from_micros(10), ..Default::default() };
-        let token = CancellationToken::new();
+    fn the_deadline_caps_the_backoff_and_stops_retrying() {
+        // A 2 s backoff against a 50 ms deadline: one attempt, one sleep
+        // cut short at the deadline, then no further attempt.
+        let policy = RetryPolicy {
+            base_delay: Duration::from_secs(2),
+            max_delay: Duration::from_secs(2),
+            ..Default::default()
+        };
+        let deadline = Deadline::within(Duration::from_millis(50));
+        assert!(policy.delay(1) > Duration::from_millis(50), "the first backoff outlasts it");
         let mut calls = 0u32;
+        let t0 = std::time::Instant::now();
         let out: Result<((), u32), RetryError<&str>> =
-            retry_with_backoff(&policy, &token, || {
+            retry_with_backoff(&policy, &deadline, || {
                 calls += 1;
-                token.cancel();
                 Ok(Err("flaky"))
             });
-        assert_eq!(out, Err(RetryError::Cancelled));
+        assert_eq!(out, Err(RetryError::TimedOut));
         assert_eq!(calls, 1);
+        assert!(t0.elapsed() < Duration::from_secs(1), "slept past the deadline");
     }
 }

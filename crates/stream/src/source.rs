@@ -45,6 +45,11 @@ impl std::error::Error for SourceError {}
 /// fail the end-of-stream read). A [`SourceError::Transient`] read must be
 /// lossless: the service retries it with backoff and expects the chunk it
 /// would have gotten.
+///
+/// `next_chunk` must return in bounded time. The service calls it on the
+/// caller's thread and checks its `run_timeout` only between calls, so a
+/// live source with no data yet returns [`SourceError::Transient`] rather
+/// than blocking; the retry backoff then paces the polling.
 pub trait SampleSource: Send {
     /// Pulls the next chunk.
     ///

@@ -3,7 +3,7 @@
 //!
 //! The batch quickstart records a whole campaign and harvests it at once.
 //! This example feeds the same recording to `emoleak_stream::StreamService`
-//! chunk by chunk — with injected transient read failures and a worker
+//! chunk by chunk — with injected transient read failures and a step
 //! panic — and prints the verdicts as they stream out, followed by the
 //! service's resilience log.
 //!
@@ -15,7 +15,7 @@ use emoleak::prelude::*;
 use std::sync::Arc;
 
 fn main() -> Result<(), EmoleakError> {
-    // The panic injected below is absorbed by supervision; keep its
+    // The panic injected below is absorbed by the firewall; keep its
     // default-hook backtrace out of the demo output.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -38,7 +38,7 @@ fn main() -> Result<(), EmoleakError> {
     let class_names: Vec<String> = bundle.class_names().to_vec();
 
     // 2. Re-record the campaign as a chunk stream and wrap it in a flaky
-    //    transport: 30% of reads fail transiently, and one extract-worker
+    //    transport: 30% of reads fail transiently, and one extract-step
     //    panic is injected mid-stream.
     let campaign = scenario.record_windows()?;
     let config = emoleak_stream::StreamConfig {
@@ -51,8 +51,8 @@ fn main() -> Result<(), EmoleakError> {
         0xCAFE,
     );
 
-    // 3. Stream it. Supervision absorbs the panic, retries absorb the
-    //    flaky reads; the emissions arrive in order regardless.
+    // 3. Stream it. The panic firewall absorbs the panic, retries absorb
+    //    the flaky reads; the emissions arrive in order regardless.
     let service = emoleak_stream::StreamService::new(
         bundle,
         scenario.setting.region_detector(),
@@ -80,8 +80,7 @@ fn main() -> Result<(), EmoleakError> {
     println!("\nwhat the service survived:");
     println!("  chunks {} regions {} windows {}", s.chunks_ingested, s.regions, s.windows);
     println!("  transient read failures retried: {}", s.retries);
-    println!("  worker panics absorbed:          {}", s.panic_restarts);
-    println!("  chunks dropped (backpressure):   {}", s.dropped_chunks);
+    println!("  step panics absorbed:            {}", s.panic_restarts);
     println!("  final ladder rung:               {}", report.final_level);
     println!("\nresilience log ({} events):", report.log.events().len());
     for event in report.log.events().iter().take(8) {

@@ -17,7 +17,7 @@
 //! | [`features`] | speech-region detection, Table-II features, spectrograms |
 //! | [`ml`] | Weka-style classifiers and CNNs, from scratch |
 //! | [`core`] | the end-to-end attack pipeline, reports, mitigations |
-//! | [`stream`] | resilient online inference: bounded queues, supervision, degradation |
+//! | [`stream`] | resilient online inference: one loop per session, panic firewall, degradation |
 //! | [`durable`] | crash safety: write-ahead journal, checkpoints, resumable campaigns |
 //! | [`admission`] | multi-tenant overload protection: rate limits, bulkheads, shedding |
 //! | [`fleet`] | fault-contained sharding: consistent-hash placement, brown-out failover |

@@ -104,10 +104,11 @@ fn evaluation_tables_are_worker_count_invariant() {
 
 #[test]
 fn streaming_labels_are_worker_count_invariant() {
-    // The streaming service itself runs fixed supervised stages, but its
-    // inputs — the recorded campaign (parallel stage 1) and the trained
-    // bundle (parallel harvest) — come off the pool. Streamed labels must
-    // not depend on how many workers produced those inputs.
+    // The streaming service itself runs each session as one loop on the
+    // caller's thread, but its inputs — the recorded campaign (parallel
+    // stage 1) and the trained bundle (parallel harvest) — come off the
+    // pool. Streamed labels must not depend on how many workers produced
+    // those inputs.
     use emoleak::stream::{ReplaySource, StreamConfig, StreamService};
     use std::sync::Arc;
     use std::time::Duration;

@@ -5,7 +5,7 @@
 
 use emoleak::core::online::extract_window;
 use emoleak::prelude::*;
-use emoleak::stream::{FlakySource, ReplaySource, StreamConfig, StreamService};
+use emoleak::stream::{ByteGauge, FlakySource, ReplaySource, StreamConfig, StreamService};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -57,11 +57,12 @@ proptest! {
         }
 
         // Streaming path over the same faulted recording.
+        let gauge = Arc::new(ByteGauge::new());
         let config = StreamConfig {
             latency_override: Some([Duration::ZERO; 4]),
+            memory: Some(Arc::clone(&gauge)),
             ..StreamConfig::default()
         };
-        let capacity = config.queue_capacity;
         let service = StreamService::new(
             bundle(),
             scenario.setting.region_detector(),
@@ -75,17 +76,23 @@ proptest! {
         );
         let report = service.run(Box::new(source)).unwrap();
 
-        // Accounting balances for any input.
+        // Accounting balances for any input, and memory stays bounded: the
+        // session holds at most the longest window's chunks, and releases
+        // every metered byte when it ends.
         let s = &report.stats;
-        prop_assert_eq!(s.chunks_processed + s.dropped_chunks, s.chunks_ingested);
-        prop_assert!(s.max_chunk_depth <= capacity, "queue bound");
-        prop_assert!(s.max_region_depth <= capacity, "queue bound");
+        let longest = campaign
+            .windows
+            .iter()
+            .map(|(w, _, _)| w.len().div_ceil(chunk_len).max(1))
+            .max()
+            .unwrap_or(0);
+        prop_assert!(s.max_chunk_depth <= longest, "held {} chunks", s.max_chunk_depth);
+        prop_assert_eq!(gauge.charged(), 0);
         prop_assert_eq!(s.windows, campaign.windows.len() as u64);
         prop_assert_eq!(s.panic_restarts, 0);
-        prop_assert_eq!(s.watchdog_fires, 0);
 
         // Region-for-region agreement with batch extraction (the source is
-        // lossless under `Block`, so the streams must match exactly).
+        // lossless, so the streams must match exactly).
         let detector = scenario.setting.region_detector();
         let batch_regions: u64 = campaign
             .windows

@@ -1,23 +1,26 @@
 //! End-to-end contracts of the streaming inference service.
 //!
 //! Two promises lock the streaming path to the batch pipeline, and a third
-//! keeps sessions from waiting on the supervisor:
+//! keeps sessions prompt:
 //!
 //! 1. **Clean-path equivalence** — streaming a recording through
 //!    `StreamService` yields region-for-region the labels the batch
 //!    pipeline's extraction + classification produces, byte-identical, at
 //!    any worker count.
-//! 2. **Deterministic degradation** — with synthetic latencies, the
-//!    ladder's transitions (and therefore which rung labeled which region)
-//!    are a pure function of the input: two identical runs produce
-//!    identical `ServiceLog`s and identical emissions.
-//! 3. **Prompt completion** — a session ends, and a panicked stage
-//!    restarts, as soon as a stage exits: a supervisor poll far longer than
-//!    the session changes neither when it ends nor what it emits.
+//! 2. **Deterministic degradation** — with synthetic latencies, the whole
+//!    run is a pure function of the input, flaky transport included: two
+//!    identical runs, at any worker count, produce identical `ServiceLog`s
+//!    (retries, degradations and recoveries interleaved), identical
+//!    `StreamStats` and identical emissions.
+//! 3. **Prompt completion** — a session ends as soon as its source is
+//!    drained, and a panicked step costs one restart and one lost chunk,
+//!    not time.
 
 use emoleak::core::online::extract_window;
 use emoleak::prelude::*;
-use emoleak::stream::{ReplaySource, StreamConfig, StreamReport, StreamService};
+use emoleak::stream::{
+    FlakySource, ReplaySource, ServiceEvent, StreamConfig, StreamReport, StreamService,
+};
 use emoleak_exec::with_threads;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,7 +99,7 @@ fn clean_stream_labels_are_byte_identical_to_batch_at_any_thread_count() {
 }
 
 #[test]
-fn sessions_end_when_their_stages_exit_not_on_the_supervisor_poll() {
+fn sessions_end_as_soon_as_their_source_is_drained() {
     let scenario = scenario();
     let harvest = scenario.harvest().unwrap();
     let bundle = Arc::new(ModelBundle::train(&harvest, 7).unwrap());
@@ -117,9 +120,7 @@ fn sessions_end_when_their_stages_exit_not_on_the_supervisor_poll() {
     for panic_after_chunks in [None, Some(2)] {
         let config = StreamConfig { panic_after_chunks, ..fast_config() };
         let (reference, _) = run(config.clone());
-        let mut slow_poll = config;
-        slow_poll.supervisor.poll = Duration::from_secs(20);
-        let (report, took) = run(slow_poll);
+        let (report, took) = run(config);
         assert!(
             took < Duration::from_secs(5),
             "session with panic_after_chunks {panic_after_chunks:?} took {took:?}"
@@ -154,19 +155,23 @@ fn deadline_pressure_degrades_then_recovers_deterministically() {
         },
         ..StreamConfig::default()
     };
-    let run = || {
-        let service = StreamService::new(
-            Arc::clone(&bundle),
-            scenario.setting.region_detector(),
-            campaign.fs,
-            config.clone(),
-        );
-        service
-            .run(Box::new(ReplaySource::from_campaign(&campaign, 256)))
-            .unwrap()
+    // The transport fails a third of its reads, so retries interleave
+    // with the ladder's transitions in the log.
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let service = StreamService::new(
+                Arc::clone(&bundle),
+                scenario.setting.region_detector(),
+                campaign.fs,
+                config.clone(),
+            );
+            let source =
+                FlakySource::new(ReplaySource::from_campaign(&campaign, 256), 0.3, 0xF1A6);
+            service.run(Box::new(source)).unwrap()
+        })
     };
 
-    let report = run();
+    let report = run(1);
     let transitions = report.log.transitions();
     assert!(
         transitions.len() >= 2,
@@ -182,11 +187,11 @@ fn deadline_pressure_degrades_then_recovers_deterministically() {
     // after at least `recover_after` regions at the degraded rung.
     let events = report.log.events();
     let degrade_at = events.iter().find_map(|e| match e {
-        emoleak::stream::ServiceEvent::Degraded { region, .. } => Some(*region),
+        ServiceEvent::Degraded { region, .. } => Some(*region),
         _ => None,
     });
     let recover_at = events.iter().find_map(|e| match e {
-        emoleak::stream::ServiceEvent::Recovered { region, .. } => Some(*region),
+        ServiceEvent::Recovered { region, .. } => Some(*region),
         _ => None,
     });
     let (d, r) = (degrade_at.unwrap(), recover_at.unwrap());
@@ -194,19 +199,26 @@ fn deadline_pressure_degrades_then_recovers_deterministically() {
         r >= d + u64::from(config.ladder.recover_after),
         "recovery at region {r} too soon after degradation at {d}"
     );
+    // Retries landed on both sides of the first degradation.
+    let first_degrade =
+        events.iter().position(|e| matches!(e, ServiceEvent::Degraded { .. })).unwrap();
+    let (before, after) = events.split_at(first_degrade);
+    let recovered_read = |e: &ServiceEvent| matches!(e, ServiceEvent::SourceRecovered { .. });
+    assert!(
+        before.iter().any(recovered_read) && after.iter().any(recovered_read),
+        "retries and ladder events must interleave: {events:?}"
+    );
     // Both rungs actually labeled regions.
     assert!(report.stats.level_counts[2] > 0, "classical ran");
     assert!(report.stats.level_counts[3] > 0, "energy-only ran");
 
-    // Synthetic latencies make the whole run a pure function of the input:
-    // a second run reproduces the log and the emissions exactly.
-    let again = run();
-    assert_eq!(report.log, again.log, "ServiceLog must be deterministic");
-    assert_eq!(streamed_labels(&report), streamed_labels(&again));
-    // Queue max-depths are scheduling-dependent; everything the ladder and
-    // classifier produced is not.
-    assert_eq!(report.stats.regions, again.stats.regions);
-    assert_eq!(report.stats.level_counts, again.stats.level_counts);
-    assert_eq!(report.stats.deadline_misses, again.stats.deadline_misses);
-    assert_eq!(report.final_level, again.final_level);
+    // Synthetic latencies and a seeded transport make the whole run a pure
+    // function of the input: again, and at another worker count, the log,
+    // the stats and the emissions come out exactly the same.
+    for (threads, again) in [(1, run(1)), (4, run(4))] {
+        assert_eq!(report.log, again.log, "ServiceLog differs at {threads} thread(s)");
+        assert_eq!(report.stats, again.stats, "StreamStats differ at {threads} thread(s)");
+        assert_eq!(report.emissions, again.emissions);
+        assert_eq!(report.final_level, again.final_level);
+    }
 }
