@@ -136,7 +136,7 @@ fn main() -> Result<(), EmoleakError> {
     );
     let harvest = scenario.harvest()?;
     let bundle = Arc::new(ModelBundle::train(&harvest, 7)?);
-    let campaign = scenario.record_windows()?;
+    let campaign = Arc::new(scenario.record_windows()?);
     let detector = scenario.setting.region_detector();
 
     let mut offered = 0u64;
@@ -162,7 +162,9 @@ fn main() -> Result<(), EmoleakError> {
             .collect();
         // Admitted sessions of one tick run concurrently — that is the
         // fleet's actual serving shape.
-        let batch = emoleak_exec::par_map_vec_indexed(placements, |_, placement| {
+        let (bundle, detector, campaign) =
+            (Arc::clone(&bundle), detector.clone(), Arc::clone(&campaign));
+        let batch = emoleak_exec::par_map_vec_indexed(placements, move |_, placement| {
             let svc = StreamService::new(
                 Arc::clone(&bundle),
                 detector.clone(),

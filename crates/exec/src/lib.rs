@@ -23,9 +23,19 @@
 //!    single sequential left fold over the index order — never by a
 //!    scheduling-dependent reduction tree.
 //!
+//! The [`pool`] has two entry points that share one dealing and stealing
+//! loop: [`par_map_vec_indexed`] runs owned items on a process-wide set of
+//! parked workers (the fleet's per-tick fan-out), and [`par_map_indexed`]
+//! runs borrowed items on scoped threads spawned for the call (campaign
+//! work). In both the caller works as worker 0, and a panic in a work item
+//! reaches the caller with its original payload. A region entered from
+//! inside a running region runs serially, which bounds the threads
+//! *running* a region's work at the worker count; parked workers sit idle.
+//!
 //! The worker count comes from `EMOLEAK_THREADS` (default:
-//! `std::thread::available_parallelism()`), and the determinism tests pin it
-//! per call with [`with_threads`] to prove the count cannot affect results.
+//! `std::thread::available_parallelism()`), read once per process at the
+//! first parallel region, and the determinism tests pin it per call with
+//! [`with_threads`] to prove the count cannot affect results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,9 @@
 //! shard count), routes offers to the tenant's home shard, advances all
 //! shards one tick **in parallel** (each shard is owned by exactly one
 //! worker per tick — [`emoleak_exec::par_map_vec_indexed`] keeps the
-//! result order and therefore the byte stream deterministic), and watches
-//! per-shard health.
+//! result order and therefore the byte stream deterministic, and runs on
+//! the process's parked workers, so a tick wakes threads rather than
+//! spawning them), and watches per-shard health.
 //!
 //! # Failover and the conservation algebra
 //!
@@ -464,9 +465,13 @@ impl FleetCoordinator {
             self.net_deliver(now);
             self.lease_expiry_failover(now);
         }
-        let shards = std::mem::take(&mut self.shards);
-        let mut results = par_map_vec_indexed(shards, |_, mut shard| {
-            let inject = panics.contains(&shard.id());
+        // The shards travel to the pool's long-lived workers, so the closure
+        // captures only owned values: settle the injected panics here.
+        let shards: Vec<(bool, Shard)> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|shard| (panics.contains(&shard.id()), shard))
+            .collect();
+        let mut results = par_map_vec_indexed(shards, move |_, (inject, mut shard)| {
             let tick = shard.advance(now, capacity, inject);
             (shard, tick)
         });
