@@ -43,6 +43,26 @@ pub struct Record {
     pub data: Vec<u8>,
 }
 
+/// One committed record frame, borrowed from the bytes it was scanned
+/// from. [`Journal::scan`] hands these out so that a check which keeps no
+/// records copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    /// Record type tag.
+    pub kind: u8,
+    /// Sequence / unit index assigned by the writer.
+    pub seq: u64,
+    /// Record body.
+    pub data: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// An owned copy of the record this frame holds.
+    pub fn to_record(&self) -> Record {
+        Record { kind: self.kind, seq: self.seq, data: self.data.to_vec() }
+    }
+}
+
 /// An append-only journal handle, positioned at the end of the last
 /// committed record.
 #[derive(Debug)]
@@ -89,80 +109,87 @@ pub(crate) fn encode_record(kind: u8, seq: u64, data: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Forward-scans `bytes[start..]` as record frames, stopping at the first
-/// damage site. Returns the committed records, the defects found (at most
-/// one — framing is untrustworthy past the first bad frame), and the byte
-/// offset of the end of the last whole record. Shared by [`Journal::open`]
-/// (which truncates to that offset), [`Journal::verify`] (read-only), and
-/// the ship codec in [`crate::ship`].
-pub(crate) fn scan_frames(bytes: &[u8], start: usize, origin: &str) -> (Vec<Record>, Vec<Defect>, usize) {
-    let mut records = Vec::new();
-    let mut defects = Vec::new();
-    let mut committed = start; // end of last whole record
-    let mut pos = committed;
+/// Forward-scans `bytes[start..]` as record frames, handing each frame
+/// whose CRC verifies to `visit` and stopping at the first damage site.
+/// Returns the defect that stopped the scan (at most one — framing is
+/// untrustworthy past the first bad frame) and the byte offset of the end
+/// of the last whole record. Allocates only to describe damage.
+///
+/// The one copy of the framing rules: [`Journal::open`] truncates to the
+/// returned offset, [`Journal::scan`] checks bytes read once by its caller
+/// (the scrubber, and [`Journal::verify`]), and the ship codec in
+/// [`crate::ship`] decodes segments with it.
+pub(crate) fn scan_frames<'a>(
+    bytes: &'a [u8],
+    start: usize,
+    origin: &str,
+    mut visit: impl FnMut(Frame<'a>),
+) -> (Option<Defect>, usize) {
+    let mut pos = start; // end of last whole record
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            break;
+            return (None, pos);
         }
+        let torn = || Defect::TornTail {
+            path: origin.to_string(),
+            offset: pos as u64,
+            lost: remaining as u64,
+        };
         if remaining < 8 {
-            defects.push(Defect::TornTail {
-                path: origin.to_string(),
-                offset: committed as u64,
-                lost: remaining as u64,
-            });
-            break;
+            return (Some(torn()), pos);
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if !(9..=MAX_RECORD_LEN).contains(&len) {
-            defects.push(Defect::CorruptRecord {
+            let defect = Defect::CorruptRecord {
                 path: origin.to_string(),
                 offset: pos as u64,
                 detail: format!("implausible record length {len}"),
-            });
-            break;
+            };
+            return (Some(defect), pos);
         }
         let len = len as usize;
         if remaining - 8 < len {
-            defects.push(Defect::TornTail {
-                path: origin.to_string(),
-                offset: committed as u64,
-                lost: remaining as u64,
-            });
-            break;
+            return (Some(torn()), pos);
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         if crc32(payload) != crc {
-            defects.push(Defect::CorruptRecord {
+            let defect = Defect::CorruptRecord {
                 path: origin.to_string(),
                 offset: pos as u64,
                 detail: "payload CRC mismatch".into(),
-            });
-            break;
+            };
+            return (Some(defect), pos);
         }
         let mut dec = Dec::new(payload);
         let kind = dec.u8().expect("length checked above");
         let seq = dec.u64().expect("length checked above");
-        records.push(Record { kind, seq, data: payload[9..].to_vec() });
+        visit(Frame { kind, seq, data: &payload[9..] });
         pos += 8 + len;
-        committed = pos;
     }
-    (records, defects, committed)
 }
 
-/// Checks a journal header, returning the byte offset of the first record.
-fn check_header(bytes: &[u8], path: &Path) -> Result<(), DurableError> {
+/// Checks a journal header. The header carries no CRC, so every value no
+/// build writes is refused: a version-0 header can only be damage, and
+/// accepting it would let a rotted copy scan clean.
+fn check_header(bytes: &[u8], origin: &str) -> Result<(), DurableError> {
     if bytes.len() < HEADER_LEN as usize || &bytes[..4] != JOURNAL_MAGIC {
         return Err(DurableError::Format {
-            path: path.display().to_string(),
+            path: origin.to_string(),
             detail: "journal header magic mismatch (expected \"EMOJ\")".into(),
         });
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version == 0 {
+        return Err(DurableError::Format {
+            path: origin.to_string(),
+            detail: "journal header version 0 (no format writes it)".into(),
+        });
+    }
     if version > JOURNAL_VERSION {
         return Err(DurableError::Version {
-            path: path.display().to_string(),
+            path: origin.to_string(),
             found: version,
             supported: JOURNAL_VERSION,
         });
@@ -201,7 +228,8 @@ impl Journal {
     /// # Errors
     ///
     /// [`DurableError::Format`] if the header magic is wrong (the file is
-    /// not a journal), [`DurableError::Version`] if it was written by a
+    /// not a journal) or its version is 0 (no format writes it, so the
+    /// header is damaged), [`DurableError::Version`] if it was written by a
     /// newer format, [`DurableError::Io`] on OS failures. Damage *after* a
     /// valid header is repaired, not fatal.
     pub fn open(path: &Path) -> Result<(Journal, Vec<Record>, Vec<Defect>), DurableError> {
@@ -217,9 +245,11 @@ impl Journal {
             return Ok((Journal::create_with(path, vfs)?, Vec::new(), Vec::new()));
         }
         let bytes = vfs.read(path).map_err(|e| DurableError::io(path, "read", &e))?;
-        check_header(&bytes, path)?;
-        let (records, defects, committed) =
-            scan_frames(&bytes, HEADER_LEN as usize, &path.display().to_string());
+        let origin = path.display().to_string();
+        check_header(&bytes, &origin)?;
+        let mut records = Vec::new();
+        let (defect, committed) =
+            scan_frames(&bytes, HEADER_LEN as usize, &origin, |f| records.push(f.to_record()));
 
         let mut file = vfs.open(path, false).map_err(|e| DurableError::io(path, "open", &e))?;
         let mut stalled = 0;
@@ -234,15 +264,16 @@ impl Journal {
         Ok((
             Journal { path: path.to_path_buf(), file, poisoned: None, fail_fsync: false, stalled },
             records,
-            defects,
+            defect.into_iter().collect(),
         ))
     }
 
-    /// Read-only verification scan: replays every committed record and
-    /// reports damage *without* repairing the file or taking a write
-    /// handle. This is the scrubber's primitive — safe to run against a
-    /// journal another handle is appending to (the scan sees a committed
-    /// prefix; a concurrent half-written tail shows up as a harmless
+    /// Read-only verification: reads the journal at `path` once, replays
+    /// every committed record and reports damage *without* repairing the
+    /// file or taking a write handle — [`Journal::scan`] over the file's
+    /// bytes, keeping owned records. Safe to run against a journal another
+    /// handle is appending to (the scan sees a committed prefix; a
+    /// concurrent half-written tail shows up as a harmless
     /// [`Defect::TornTail`]).
     ///
     /// # Errors
@@ -260,10 +291,32 @@ impl Journal {
         vfs: &dyn Vfs,
     ) -> Result<(Vec<Record>, Vec<Defect>), DurableError> {
         let bytes = vfs.read(path).map_err(|e| DurableError::io(path, "read", &e))?;
-        check_header(&bytes, path)?;
-        let (records, defects, _committed) =
-            scan_frames(&bytes, HEADER_LEN as usize, &path.display().to_string());
+        let mut records = Vec::new();
+        let defects =
+            Journal::scan(&bytes, &path.display().to_string(), |f| records.push(f.to_record()))?;
         Ok((records, defects))
+    }
+
+    /// Checks the header of journal bytes the caller has already read and
+    /// CRC-verifies every frame, handing each committed one to `visit` as
+    /// a borrowed [`Frame`]. Returns the damage found (at most one defect,
+    /// naming `origin`). A check that keeps no records allocates nothing.
+    ///
+    /// This is the scrubber's primitive: it reads each journal once, and a
+    /// byte-identical replica is verified by one scan of the shared bytes.
+    ///
+    /// # Errors
+    ///
+    /// The header errors of [`Journal::open`]: [`DurableError::Format`] for
+    /// a damaged header, [`DurableError::Version`] for a newer format.
+    pub fn scan<'a>(
+        bytes: &'a [u8],
+        origin: &str,
+        visit: impl FnMut(Frame<'a>),
+    ) -> Result<Vec<Defect>, DurableError> {
+        check_header(bytes, origin)?;
+        let (defect, _committed) = scan_frames(bytes, HEADER_LEN as usize, origin, visit);
+        Ok(defect.into_iter().collect())
     }
 
     /// The journal file path.
@@ -453,6 +506,12 @@ mod tests {
             Journal::open(&bad_magic),
             Err(DurableError::Format { .. })
         ));
+        // No format writes version 0: such a header is damage, not history.
+        let v0 = dir.join("v0.log");
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        std::fs::write(&v0, &bytes).unwrap();
+        assert!(matches!(Journal::verify(&v0), Err(DurableError::Format { .. })));
         let vnext = dir.join("future.log");
         let mut bytes = JOURNAL_MAGIC.to_vec();
         bytes.extend_from_slice(&(JOURNAL_VERSION + 1).to_le_bytes());

@@ -49,7 +49,7 @@ pub use campaign::{
     run_resumable, CampaignError, CampaignSpec, CampaignState, Outcome, RunOptions, REC_UNIT,
 };
 pub use error::{Defect, DurableError};
-pub use journal::{Journal, Record, JOURNAL_MAGIC};
+pub use journal::{Frame, Journal, Record, JOURNAL_MAGIC};
 pub use ship::{
     compare_streams, decode_segment, encode_segment, rebuild_journal, rebuild_journal_with,
     StreamDiff, SHIP_MAGIC,

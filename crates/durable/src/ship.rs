@@ -80,7 +80,10 @@ pub fn decode_segment(bytes: &[u8], origin: &str) -> Result<(Vec<Record>, Vec<De
         });
     }
     let count = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
-    let (records, mut defects, committed) = scan_frames(bytes, HEADER_LEN, origin);
+    let mut records = Vec::new();
+    let (defect, committed) =
+        scan_frames(bytes, HEADER_LEN, origin, |f| records.push(f.to_record()));
+    let mut defects: Vec<Defect> = defect.into_iter().collect();
     if defects.is_empty() && (records.len() as u64) < count {
         // The scan ran clean but stopped short of the promised count: the
         // segment was truncated exactly on a frame boundary.

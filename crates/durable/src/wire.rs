@@ -5,16 +5,83 @@
 //! little-endian fixed-width integers, `f64` as raw IEEE-754 bits (the
 //! byte-identity contract forbids any round-trip through decimal), and
 //! length-prefixed byte strings. [`crc32`] is the IEEE CRC-32 used by every
-//! container to detect torn writes and bit flips.
+//! container to detect torn writes and bit flips. It is table-driven
+//! (slice-by-8: eight 256-entry tables built at compile time, eight input
+//! bytes per step) and yields exactly the values of the bit-at-a-time
+//! definition, which the tests keep as their oracle.
+
+/// The IEEE CRC-32 polynomial (zlib/PNG), in reflected form.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight bit steps, and `CRC_TABLES[k][b]` is
+/// `CRC_TABLES[k - 1][b]` advanced by one more zero byte — the
+/// contribution of a byte followed by `k` more bytes of its 8-byte block.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// Computes the IEEE CRC-32 (the zlib/PNG polynomial, reflected) of `data`.
+///
+/// Table-driven, slice-by-8: each step folds eight input bytes into the
+/// register with eight table lookups, and the tail of fewer than eight
+/// bytes takes one lookup per byte. Allocates nothing.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut blocks = data.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The bit-at-a-time definition of [`crc32`]: the oracle the table-driven
+/// version is tested against.
+#[cfg(test)]
+fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {
         crc ^= u32::from(byte);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (POLY & mask);
         }
     }
     !crc
@@ -203,13 +270,46 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_reference_vectors() {
         // The canonical check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        for crc in [crc32, crc32_bitwise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table-driven CRC equals the bitwise oracle on random data,
+        /// at lengths 0–4096 and start offsets 0–7 into a larger buffer.
+        #[test]
+        fn crc32_equals_the_bitwise_oracle(
+            raw in prop::collection::vec(0u32..256, 4096 + 8),
+            start in 0usize..8,
+            len in 0usize..=4096,
+        ) {
+            let buf: Vec<u8> = raw.iter().map(|b| *b as u8).collect();
+            let data = &buf[start..start + len];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+        }
+    }
+
+    /// Every start offset 0–7 against every length up to 56: each
+    /// alignment meets each tail length (0–7 bytes past the last 8-byte
+    /// block), with and without whole blocks before it.
+    #[test]
+    fn crc32_equals_the_bitwise_oracle_at_every_short_length_and_alignment() {
+        let buf: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+        for start in 0..8 {
+            for end in start..buf.len() {
+                assert_eq!(crc32(&buf[start..end]), crc32_bitwise(&buf[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -56,9 +56,10 @@
 //! shard's replica against its primary (round-robin over the fleet),
 //! classifies any difference ([`Defect::ReplicaLag`] /
 //! [`Defect::ReplicaDiverged`]), and read-repairs it by deterministic
-//! rebuild ([`Defect::ScrubRepaired`]). Findings accumulate on the
-//! [`FleetView`]. Scrubbing runs on ticks, not wall clock, so fleet
-//! output stays byte-identical across thread counts.
+//! rebuild ([`Defect::ScrubRepaired`]). A damaged primary is reported
+//! with its own defect and never used to repair the replica. Findings
+//! accumulate on the [`FleetView`]. Scrubbing runs on ticks, not wall
+//! clock, so fleet output stays byte-identical across thread counts.
 
 use crate::config::{DiskConfig, FleetConfig};
 use crate::ring::HashRing;
@@ -159,8 +160,9 @@ pub struct FleetView {
     /// Live shards whose replica is currently latched (a ship failed and
     /// no scrub has repaired it yet).
     pub replicas_latched: usize,
-    /// Every defect the anti-entropy scrubber has found (and repaired) so
-    /// far, in detection order.
+    /// Every defect the anti-entropy scrubber has found so far, in
+    /// detection order: replica lag or divergence with its repair, or a
+    /// damaged primary's own defect (reported, not repaired).
     pub scrub_events: Vec<Defect>,
     /// Every internal invariant violation the coordinator detected and
     /// survived, in detection order. Empty in a correct build.

@@ -220,9 +220,11 @@ impl Shard {
     }
 
     /// Re-homes the replica to `follower` (the ring's current successor
-    /// after a rebalance): the old copy is deleted and a byte-identical
-    /// copy of the primary is rebuilt on the new follower. A no-op when
-    /// the follower is unchanged or the shard is retired.
+    /// after a rebalance): the old copy is deleted and a copy of the
+    /// primary is rebuilt on the new follower — or of the old replica,
+    /// when the primary is damaged and the old replica is clean (see
+    /// [`DurableSink::rehome_replica`]). A no-op when the follower is
+    /// unchanged or the shard is retired.
     pub fn rehome_replica(&mut self, follower: Option<u32>) {
         if self.state != ShardState::Active || self.follower == follower {
             return;
@@ -234,8 +236,9 @@ impl Shard {
 
     /// One anti-entropy scrub pass: CRC-verify the replica against the
     /// primary and read-repair any lag or divergence. Returns the defects
-    /// found (detection plus repair); empty for a healthy or unreplicated
-    /// shard. See [`DurableSink::scrub_replica`].
+    /// found (detection plus repair, or a damaged primary's own defect);
+    /// empty for a healthy or unreplicated shard. See
+    /// [`DurableSink::scrub_replica`].
     pub fn scrub(&self) -> Vec<Defect> {
         self.sink.scrub_replica()
     }

@@ -20,7 +20,7 @@ use emoleak_core::admission::{DurabilityLevel, FleetState};
 use emoleak_core::online::{InferenceLevel, Verdict};
 use emoleak_durable::{
     compare_streams, rebuild_journal_with, Dec, Defect, DurableError, Enc, Journal, OsVfs,
-    StreamDiff, Vfs, WireError,
+    Record, StreamDiff, Vfs, WireError,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -630,27 +630,32 @@ impl DurableSink {
     }
 
     /// Re-homes the replica: drops the old copy (deleting its file) and —
-    /// when `new_path` is `Some` — rebuilds a byte-identical copy of the
-    /// primary there. The coordinator calls this when a rebalance changes
-    /// the shard's follower; `None` turns replication off (the follower
-    /// chain has no peer left).
+    /// when `new_path` is `Some` — rebuilds a copy of the journal there.
+    /// The coordinator calls this when a rebalance changes the shard's
+    /// follower; `None` turns replication off (the follower chain has no
+    /// peer left).
+    ///
+    /// The new copy is the primary's records, unless the primary's scan
+    /// finds damage while the old replica scans clean with at least as
+    /// many records: then the old replica is the better copy, and it is
+    /// read before its file is deleted, so a rehome never turns one good
+    /// copy into none.
     ///
     /// A rebuild failure latches [`DurableSink::take_replica_error`]
     /// instead of erroring out: a dead follower must never stop the
     /// primary, and the next scrub pass retries the rebuild.
     pub fn rehome_replica(&self, new_path: Option<&Path>) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let vfs = Arc::clone(&inner.vfs);
+        let target = new_path.map(|path| (path, rehome_source(&inner, vfs.as_ref())));
         if let Some(old) = inner.replica.take() {
             let old_path = old.path().to_path_buf();
             drop(old);
             let _ = std::fs::remove_file(old_path);
         }
         inner.replica_error = None;
-        let Some(new_path) = new_path else { return };
-        let vfs = Arc::clone(&inner.vfs);
-        let rebuilt = Journal::verify_with(inner.journal.path(), vfs.as_ref())
-            .and_then(|(records, _defects)| rebuild_journal_with(new_path, &records, vfs.as_ref()));
-        match rebuilt {
+        let Some((new_path, source)) = target else { return };
+        match source.and_then(|records| rebuild_journal_with(new_path, &records, vfs.as_ref())) {
             Ok(fresh) => inner.replica = Some(fresh),
             Err(e) => inner.replica_error = Some(e),
         }
@@ -665,6 +670,18 @@ impl DurableSink {
 
     /// Anti-entropy scrub: CRC-verifies the replica against the primary,
     /// classifies the difference, and performs deterministic read-repair.
+    ///
+    /// Each journal is read once. A healthy replica is byte-identical to its
+    /// primary, so its pass costs one byte compare plus one CRC pass over
+    /// the shared bytes, which verifies both copies and copies no record.
+    /// Only copies that differ are scanned into records and classified.
+    ///
+    /// A damaged primary is never a repair source: when its scan finds a
+    /// torn tail or a corrupt record, the pass returns that defect, which
+    /// names the primary's path, and leaves the replica untouched — it may
+    /// be the only clean copy. An unreadable primary (missing file, trashed
+    /// header) is the crash-failover path's problem, and the pass returns
+    /// nothing.
     ///
     /// Runs entirely inside the sink lock, so the single-writer invariant
     /// holds: no ship can interleave with the repair, and the replica
@@ -690,30 +707,41 @@ impl DurableSink {
         let primary_path = inner.journal.path().to_path_buf();
         // The primary handle has fsynced every committed record, so the
         // file content *is* the committed stream.
-        let primary = match Journal::verify_with(&primary_path, vfs.as_ref()) {
-            Ok((records, _defects)) => records,
-            // An unreadable primary is the crash-failover path's problem,
-            // not the scrubber's; leave the replica alone.
-            Err(_) => return Vec::new(),
+        let Ok(primary_bytes) = vfs.read(&primary_path) else {
+            return Vec::new();
         };
+        let replica_bytes = vfs.read(&replica_path).ok();
+        let primary_display = primary_path.display().to_string();
+        if replica_bytes.as_deref() == Some(primary_bytes.as_slice()) {
+            // One scan of the shared bytes verifies both copies: clean is a
+            // healthy replica, and damage is the primary's as well.
+            return Journal::scan(&primary_bytes, &primary_display, |_| {}).unwrap_or_default();
+        }
+        let mut primary = Vec::new();
+        match Journal::scan(&primary_bytes, &primary_display, |f| primary.push(f.to_record())) {
+            Ok(defects) if defects.is_empty() => {}
+            Ok(defects) => return defects,
+            Err(_) => return Vec::new(),
+        }
         let mut defects = Vec::new();
         let replica_display = replica_path.display().to_string();
-        let (replica_records, scan_clean) = match Journal::verify_with(&replica_path, vfs.as_ref())
-        {
-            Ok((records, scan_defects)) => {
+        let mut replica_records = Vec::new();
+        let replica_scan = replica_bytes.as_deref().map(|bytes| {
+            Journal::scan(bytes, &replica_display, |f| replica_records.push(f.to_record()))
+        });
+        let scan_clean = match replica_scan {
+            Some(Ok(scan_defects)) => {
                 let clean = scan_defects.is_empty();
                 defects.extend(scan_defects);
-                (records, clean)
+                clean
             }
-            Err(_) => {
-                // Missing or header-trashed replica: nothing of it is
-                // trustworthy — diverged from record 0, full rebuild.
-                (Vec::new(), false)
-            }
+            // Missing or header-trashed replica: nothing of it is
+            // trustworthy — diverged from record 0, full rebuild.
+            Some(Err(_)) | None => false,
         };
         match (scan_clean, compare_streams(&primary, &replica_records)) {
             (true, StreamDiff::Identical) => {
-                return defects; // healthy replica, nothing to repair
+                return defects; // the same records: nothing to repair
             }
             // A clean strict prefix is ordinary lag (crash between primary
             // commit and ship, or a fresh follower catching up).
@@ -753,6 +781,21 @@ impl DurableSink {
         }
         defects
     }
+}
+
+/// The records a re-homed replica is built from: the primary's, unless the
+/// primary's scan finds damage while the current replica scans clean with
+/// at least as many records — then the replica is the better copy.
+fn rehome_source(inner: &SinkInner, vfs: &dyn Vfs) -> Result<Vec<Record>, DurableError> {
+    let (primary, defects) = Journal::verify_with(inner.journal.path(), vfs)?;
+    if defects.is_empty() {
+        return Ok(primary);
+    }
+    let replica = inner.replica.as_ref().and_then(|r| Journal::verify_with(r.path(), vfs).ok());
+    Ok(match replica {
+        Some((records, damage)) if damage.is_empty() && records.len() >= primary.len() => records,
+        _ => primary,
+    })
 }
 
 /// A service run replayed from its journal.
@@ -1187,6 +1230,53 @@ mod tests {
             "{defects:?}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&replica).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A replicated sink holding four emissions whose primary has a bit
+    /// flipped in its second record. Returns the sink, the primary and
+    /// replica paths, and the replica's (clean) bytes.
+    fn sink_with_rotted_primary(dir: &Path) -> (DurableSink, PathBuf, PathBuf, Vec<u8>) {
+        let path = dir.join("run.log");
+        let replica = dir.join("run.replica.log");
+        let sink = DurableSink::create_replicated(&path, &replica).unwrap();
+        for region in 1..=4 {
+            sink.record_emission(&emission(region));
+        }
+        let clean = std::fs::read(&replica).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Emission frames all have one length; flip mid-way through the second.
+        let frame = (bytes.len() - 6) / 4;
+        bytes[6 + frame + frame / 2] ^= 0x08;
+        std::fs::write(&path, &bytes).unwrap();
+        (sink, path, replica, clean)
+    }
+
+    #[test]
+    fn scrub_reports_a_damaged_primary_and_leaves_the_clean_replica_alone() {
+        let dir = scratch("scrub-primary-rot");
+        let (sink, path, replica, clean) = sink_with_rotted_primary(&dir);
+        let defects = sink.scrub_replica();
+        let primary = path.display().to_string();
+        assert!(
+            matches!(defects.as_slice(), [Defect::CorruptRecord { path, .. }] if *path == primary),
+            "{defects:?}"
+        );
+        assert_eq!(std::fs::read(&replica).unwrap(), clean, "the clean replica was rewritten");
+        assert!(sink.take_replica_error().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rehome_copies_the_clean_replica_when_the_primary_is_damaged() {
+        let dir = scratch("rehome-primary-rot");
+        let (sink, _path, replica, clean) = sink_with_rotted_primary(&dir);
+        let moved = dir.join("run.replica-moved.log");
+        sink.rehome_replica(Some(&moved));
+        assert!(!replica.exists(), "the old copy must be deleted");
+        assert_eq!(std::fs::read(&moved).unwrap(), clean, "the new copy lost records");
+        assert_eq!(sink.replica_path().as_deref(), Some(moved.as_path()));
+        assert!(sink.take_replica_error().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
