@@ -22,7 +22,7 @@ use emoleak_features::spectrogram::IMAGE_SIZE;
 use emoleak_features::{freq_domain, time_domain};
 use emoleak_kernels::conv::{conv2d_fast, conv2d_ref};
 use emoleak_kernels::{Activation, Conv2dScratch, KernelMode};
-use emoleak_ml::nn::{spectrogram_cnn_scaled, QuantizedCnn, Tensor};
+use emoleak_ml::nn::{spectrogram_cnn_scaled, CnnScratch, LoweredCnn, Precision, Tensor};
 use emoleak_stream::{ReplaySource, StreamConfig, StreamService};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -151,10 +151,17 @@ fn main() -> Result<(), EmoleakError> {
             black_box(net.predict(black_box(&input)));
         });
         std::env::remove_var(emoleak_kernels::ENV_KERNELS);
-        let quant = QuantizedCnn::from_sequential(&net)
-            .expect("the spectrogram CNN must lower to int8");
+        let lowered =
+            LoweredCnn::from_sequential(&net).expect("the spectrogram CNN must lower");
+        let mut scratch = CnnScratch::default();
         int8_forward_ns = time_ns(iters, || {
-            black_box(quant.predict(black_box(&input)));
+            let class = lowered.try_predict(
+                &input.shape,
+                black_box(&input.data),
+                Precision::Int8,
+                &mut scratch,
+            );
+            black_box(class.expect("the input fits the network"));
         });
         stages.push(Stage { name: "forward", reference_ns, fast_ns });
     }

@@ -24,11 +24,12 @@ use emoleak_features::regions::{Region, RegionDetector};
 use emoleak_features::spectrogram::SpectrogramGenerator;
 use emoleak_features::{all_feature_names, extract_all, LabeledSpectrogram};
 use emoleak_ml::logistic::Logistic;
-use emoleak_ml::nn::{spectrogram_cnn_scaled, QuantizedCnn, Sequential, Tensor};
+use emoleak_ml::nn::{spectrogram_cnn_scaled, CnnScratch, KernelMode, LoweredCnn, Precision, Tensor};
 use emoleak_ml::Classifier;
 use emoleak_phone::session::RecordingSession;
 use emoleak_phone::FaultLog;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
 /// One clip's trace window with its ground-truth speech spans and label.
 pub type LabeledWindow = (Vec<f64>, Vec<(usize, usize)>, usize);
@@ -305,13 +306,12 @@ pub struct ModelBundle {
     /// Per-feature (mean, std) z-score parameters fitted on training data.
     norm: Vec<(f64, f64)>,
     classical: Logistic,
-    /// The spectrogram CNN (mutex because forward passes update layer
-    /// caches), absent when trained with [`ModelBundle::train`].
-    cnn: Option<parking_lot::Mutex<Sequential>>,
-    /// The int8-quantized lowering of `cnn` (no lock: prediction is
-    /// `&self`), absent when no CNN was trained or the architecture has
-    /// no quantized representation.
-    cnn_int8: Option<QuantizedCnn>,
+    /// The trained spectrogram CNN, lowered for inference: f64 weights for
+    /// the [`InferenceLevel::Cnn`] rung beside their int8 quantization for
+    /// [`InferenceLevel::CnnInt8`]. Prediction is `&self` with a per-thread
+    /// scratch, so sessions share it without a lock. Absent when trained
+    /// with [`ModelBundle::train`].
+    cnn: Option<LoweredCnn>,
     /// Speech/silence threshold on the region's std-dev feature.
     energy_threshold: f64,
 }
@@ -321,7 +321,6 @@ impl core::fmt::Debug for ModelBundle {
         f.debug_struct("ModelBundle")
             .field("classes", &self.class_names.len())
             .field("cnn", &self.cnn.is_some())
-            .field("cnn_int8", &self.cnn_int8.is_some())
             .field("energy_threshold", &self.energy_threshold)
             .finish()
     }
@@ -330,6 +329,12 @@ impl core::fmt::Debug for ModelBundle {
 /// Index of the std-dev entry in the Table II feature vector, used as the
 /// energy proxy by the energy-only rung.
 const STD_DEV_FEATURE: usize = 3;
+
+thread_local! {
+    /// Each thread's CNN activation and im2col buffers, reused across
+    /// verdicts and bundles, so a steady-state verdict allocates nothing.
+    static CNN_SCRATCH: RefCell<CnnScratch> = RefCell::new(CnnScratch::default());
+}
 
 impl ModelBundle {
     /// Trains the classical and energy rungs on a harvested campaign (no
@@ -383,7 +388,6 @@ impl ModelBundle {
         let median = stds.get(stds.len() / 2).copied().unwrap_or(0.0);
         let energy_threshold = 0.25 * median;
 
-        let mut cnn_int8 = None;
         let cnn = match cnn_seed {
             None => None,
             Some(seed) => {
@@ -404,10 +408,12 @@ impl ModelBundle {
                 let (vx, tx) = xs.split_at(1);
                 let (vy, ty) = ys.split_at(1);
                 net.fit(tx, ty, vx, vy, &config);
-                // Lower the trained network to int8 once, while we still
-                // hold it outside the mutex.
-                cnn_int8 = QuantizedCnn::from_sequential(&net);
-                Some(parking_lot::Mutex::new(net))
+                // Keep only the lowered network: the `Sequential`, with its
+                // training caches, is dropped here.
+                Some(
+                    LoweredCnn::from_sequential(&net)
+                        .expect("the spectrogram CNN has only layers that lower"),
+                )
             }
         };
         Ok(ModelBundle {
@@ -415,7 +421,6 @@ impl ModelBundle {
             norm,
             classical,
             cnn,
-            cnn_int8,
             energy_threshold,
         })
     }
@@ -425,9 +430,11 @@ impl ModelBundle {
         self.cnn.is_some()
     }
 
-    /// Whether the int8 CNN rung is backed by a quantized network.
+    /// Whether the int8 CNN rung is backed by a quantized network. Both
+    /// CNN rungs run the one lowered network, so this equals
+    /// [`ModelBundle::has_cnn`].
     pub fn has_cnn_int8(&self) -> bool {
-        self.cnn_int8.is_some()
+        self.cnn.is_some()
     }
 
     /// The emotion class names, indexed by predicted label.
@@ -438,20 +445,19 @@ impl ModelBundle {
     /// The rung that would actually run for `want`:
     /// [`InferenceLevel::Cnn`] coerces to [`InferenceLevel::Classical`]
     /// when no CNN was trained (same for a region without a spectrogram),
-    /// and [`InferenceLevel::CnnInt8`] likewise when no quantized lowering
-    /// exists.
+    /// and [`InferenceLevel::CnnInt8`] likewise.
     pub fn effective_level(&self, want: InferenceLevel) -> InferenceLevel {
         match want {
-            InferenceLevel::Cnn if self.cnn.is_none() => InferenceLevel::Classical,
-            InferenceLevel::CnnInt8 if self.cnn_int8.is_none() => InferenceLevel::Classical,
+            InferenceLevel::Cnn | InferenceLevel::CnnInt8 if self.cnn.is_none() => {
+                InferenceLevel::Classical
+            }
             other => other,
         }
     }
 
-    /// Builds the checked `[1, side, side]` CNN input from a region's
-    /// spectrogram, reporting a typed error instead of the panic
-    /// `Tensor::from_shape` would raise on a pixel-count mismatch.
-    fn spectrogram_tensor(region: &RegionFeatures) -> Result<Tensor, EmoleakError> {
+    /// The region's `side × side` spectrogram pixels, checked, so a
+    /// pixel-count mismatch is a typed error naming the bundle.
+    fn spectrogram_pixels(region: &RegionFeatures) -> Result<&[f64], EmoleakError> {
         let side = emoleak_features::spectrogram::IMAGE_SIZE;
         let pixels = &region
             .spectrogram
@@ -465,7 +471,7 @@ impl ModelBundle {
                 got: vec![pixels.len()],
             }));
         }
-        Ok(Tensor::from_shape(&[1, side, side], pixels.clone()))
+        Ok(pixels)
     }
 
     /// Classifies one detected region at the requested ladder rung,
@@ -492,15 +498,19 @@ impl ModelBundle {
             level = InferenceLevel::Classical;
         }
         let label = match level {
-            InferenceLevel::Cnn => {
-                let input = Self::spectrogram_tensor(region)?;
+            InferenceLevel::Cnn | InferenceLevel::CnnInt8 => {
+                let pixels = Self::spectrogram_pixels(region)?;
                 let net = self.cnn.as_ref().expect("coerced above when absent");
-                Some(net.lock().try_predict(&input).map_err(EmoleakError::Shape)?)
-            }
-            InferenceLevel::CnnInt8 => {
-                let input = Self::spectrogram_tensor(region)?;
-                let q = self.cnn_int8.as_ref().expect("coerced above when absent");
-                Some(q.try_predict(&input).map_err(EmoleakError::Shape)?)
+                let precision = if level == InferenceLevel::Cnn {
+                    Precision::F64(KernelMode::current())
+                } else {
+                    Precision::Int8
+                };
+                let side = emoleak_features::spectrogram::IMAGE_SIZE;
+                let label = CNN_SCRATCH.with(|scratch| {
+                    net.try_predict(&[1, side, side], pixels, precision, &mut scratch.borrow_mut())
+                });
+                Some(label.map_err(EmoleakError::Shape)?)
             }
             InferenceLevel::Classical => {
                 let row: Vec<f64> = region
@@ -663,25 +673,101 @@ mod tests {
         ));
     }
 
+    /// A CNN bundle trained for one cheap epoch at `divisor` on the small
+    /// campaign.
+    fn cnn_bundle(divisor: &str) -> ModelBundle {
+        let h = small_scenario().harvest().unwrap();
+        // Pin the CNN cost knobs regardless of ambient env; the lock keeps
+        // sibling tests from observing them.
+        let _guard = crate::test_support::ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prior = (std::env::var("EMOLEAK_EPOCHS"), std::env::var("EMOLEAK_CNN_DIV"));
+        std::env::set_var("EMOLEAK_EPOCHS", "1");
+        std::env::set_var("EMOLEAK_CNN_DIV", divisor);
+        let b = ModelBundle::train_with_cnn(&h, 7).unwrap();
+        restore_env("EMOLEAK_EPOCHS", prior.0);
+        restore_env("EMOLEAK_CNN_DIV", prior.1);
+        b
+    }
+
+    /// The small campaign's regions that carry a spectrogram.
+    fn cnn_regions() -> Vec<RegionFeatures> {
+        let campaign = small_scenario().record_windows().unwrap();
+        let detector = RegionDetector::table_top();
+        let spec_gen = SpectrogramGenerator::for_accel();
+        campaign
+            .windows
+            .iter()
+            .flat_map(|(window, _, label)| {
+                extract_window(window, campaign.fs, &detector, Some(&spec_gen), *label).rows
+            })
+            .filter(|r| r.spectrogram.is_some())
+            .collect()
+    }
+
+    /// Per region, its label at the f64 and at the int8 CNN rung.
+    type CnnLabels = Vec<[Option<usize>; 2]>;
+
+    /// Classifies every region at both CNN rungs on the calling thread.
+    fn cnn_labels(bundle: &ModelBundle, regions: &[RegionFeatures]) -> CnnLabels {
+        regions
+            .iter()
+            .map(|r| {
+                [InferenceLevel::Cnn, InferenceLevel::CnnInt8].map(|level| {
+                    let v = bundle.classify(level, r);
+                    assert_eq!(v.level, level);
+                    v.label
+                })
+            })
+            .collect()
+    }
+
+    /// `cnn_labels` on a new thread, so with a scratch no call has used.
+    fn fresh_thread_labels(bundle: &ModelBundle, regions: &[RegionFeatures]) -> CnnLabels {
+        std::thread::scope(|s| s.spawn(|| cnn_labels(bundle, regions)).join().unwrap())
+    }
+
+    #[test]
+    fn concurrent_sessions_share_one_bundle_and_get_the_serial_verdicts() {
+        let bundle = std::sync::Arc::new(cnn_bundle("8"));
+        let regions = cnn_regions();
+        assert!(regions.len() >= 4, "the check needs real CNN regions");
+        let serial = fresh_thread_labels(&bundle, &regions);
+        let barrier = std::sync::Barrier::new(4);
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let bundle = std::sync::Arc::clone(&bundle);
+                    let (barrier, regions) = (&barrier, &regions);
+                    s.spawn(move || {
+                        barrier.wait();
+                        cnn_labels(&bundle, regions)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for labels in concurrent {
+            assert_eq!(labels, serial);
+        }
+    }
+
+    #[test]
+    fn one_threads_scratch_stays_clean_across_bundle_widths() {
+        let (narrow, wide) = (cnn_bundle("32"), cnn_bundle("8"));
+        let regions = cnn_regions();
+        let (want_narrow, want_wide) =
+            (fresh_thread_labels(&narrow, &regions), fresh_thread_labels(&wide, &regions));
+        for _ in 0..2 {
+            assert_eq!(cnn_labels(&wide, &regions), want_wide);
+            assert_eq!(cnn_labels(&narrow, &regions), want_narrow);
+        }
+    }
+
     #[test]
     fn cnn_bundle_trains_and_predicts() {
         // One cheap epoch on a tiny campaign: the point is the plumbing
         // (spectrogram tensors in, a label out), not accuracy.
-        let h = small_scenario().harvest().unwrap();
-        let bundle = {
-            // Pin the CNN cost knobs for this test regardless of ambient
-            // env; the lock keeps sibling tests from observing them.
-            let _guard = crate::test_support::ENV_LOCK
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let prior = (std::env::var("EMOLEAK_EPOCHS"), std::env::var("EMOLEAK_CNN_DIV"));
-            std::env::set_var("EMOLEAK_EPOCHS", "1");
-            std::env::set_var("EMOLEAK_CNN_DIV", "8");
-            let b = ModelBundle::train_with_cnn(&h, 7).unwrap();
-            restore_env("EMOLEAK_EPOCHS", prior.0);
-            restore_env("EMOLEAK_CNN_DIV", prior.1);
-            b
-        };
+        let bundle = cnn_bundle("8");
         assert!(bundle.has_cnn());
         let campaign = small_scenario().record_windows().unwrap();
         let detector = RegionDetector::table_top();

@@ -1,5 +1,5 @@
-//! Convolution kernels: scalar reference and im2col + blocked-GEMM fast
-//! path, with fused bias preload and optional fused ReLU.
+//! Convolution kernels: scalar reference and im2col + register-tiled GEMM
+//! fast path, with fused bias preload and optional fused ReLU.
 //!
 //! Layout matches `emoleak_ml::nn`: stride 1, "same" zero padding, input
 //! `[C_in, H, W]` / `[C_in, L]`, weights `[out][in][kh][kw]` / `[out][in][k]`.
@@ -35,7 +35,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, out: &mut [f64]) {
+    /// Applies the activation in place.
+    pub fn apply(self, out: &mut [f64]) {
         if self == Activation::Relu {
             for v in out {
                 *v = v.max(0.0);
@@ -115,7 +116,7 @@ pub fn conv2d_ref(
     act.apply(out);
 }
 
-/// im2col + cache-blocked GEMM 2-D convolution, bit-identical to
+/// im2col + register-tiled GEMM 2-D convolution, bit-identical to
 /// [`conv2d_ref`] for all inputs (pathological parameters delegate to it).
 ///
 /// # Panics
@@ -161,22 +162,23 @@ pub fn conv2d_fast(
 /// Lowers a `[C_in, H, W]` map to the `[C_in·kh·kw × H·W]` im2col patch
 /// matrix for a stride-1 "same"-padded convolution: row `(c, ky, kx)` —
 /// matching the `[out][in][kh][kw]` weight layout — column `(y, x)`,
-/// out-of-bounds taps as `0.0`. Shared by the f64 fast path and the int8
-/// quantized path.
-pub fn im2col_2d(
-    input: &[f64],
+/// out-of-bounds taps as `T::default()` (`0.0`, or `0` for int8). Shared by
+/// the f64 fast path and the int8 path, which lowers the already-quantized
+/// input.
+pub fn im2col_2d<T: Copy + Default>(
+    input: &[T],
     in_ch: usize,
     h: usize,
     w: usize,
     kh: usize,
     kw: usize,
-    cols: &mut Vec<f64>,
+    cols: &mut Vec<T>,
 ) {
     assert_eq!(input.len(), in_ch * h * w, "im2col2d: input must be C*H*W");
     let (ph, pw) = (kh / 2, kw / 2);
     let n = h * w;
     cols.clear();
-    cols.resize(in_ch * kh * kw * n, 0.0);
+    cols.resize(in_ch * kh * kw * n, T::default());
     for c in 0..in_ch {
         for ky in 0..kh {
             for kx in 0..kw {
@@ -253,7 +255,7 @@ pub fn conv1d_ref(
     act.apply(out);
 }
 
-/// im2col + cache-blocked GEMM 1-D convolution, bit-identical to
+/// im2col + register-tiled GEMM 1-D convolution, bit-identical to
 /// [`conv1d_ref`] for all inputs (pathological parameters delegate to it).
 ///
 /// # Panics

@@ -1,4 +1,4 @@
-//! f64 matrix multiply: scalar reference and a cache-blocked fast path.
+//! f64 matrix multiply: scalar reference and a register-tiled fast path.
 //!
 //! Both kernels compute `C += A · B` for row-major `A` (`m × k`),
 //! `B` (`k × n`) and `C` (`m × n`). Accumulating *onto* `C` (instead of
@@ -9,16 +9,23 @@
 //! For every output element `C[i][j]`, both kernels perform the identical
 //! chain of IEEE-754 operations: starting from the preloaded value, add
 //! `A[i][kk] * B[kk][j]` for `kk = 0, 1, …, k-1`, rounding after every
-//! multiply and every add. The fast kernel only changes *which element's*
-//! next addition runs when (blocking over `kk` and vectorizing over `j`),
-//! never the per-element order — so the two are bit-identical for **all**
-//! inputs, including non-finite values and signed zeros. The differential
-//! proptest harness (`tests/proptest_kernels.rs`) holds that line.
+//! multiply and every add. The fast kernel splits the work into small
+//! tiles of `C` over `i` and `j` only — never over `kk` — and runs each
+//! tile's full `kk` chain in local accumulators, so it changes only
+//! *which element's* next addition runs when, never the per-element order.
+//! The two are therefore bit-identical for **all** inputs, including
+//! non-finite values and signed zeros. No FMA is used: a fused
+//! multiply-add rounds once where the reference rounds twice. The
+//! differential proptest harness (`tests/proptest_kernels.rs`) holds that
+//! line.
 
-/// k-dimension block size for the fast kernel: one `KC × n` panel of `B`
-/// (at n ≈ 1024: 512 KiB worst case, typically ≤ 32 KiB for the CNN's
-/// 32×32 maps) stays hot in cache while every row of `A` streams over it.
-const KC: usize = 64;
+/// Rows of `C` per register tile. With [`NR`] = 8 the tile's 16
+/// accumulators fill eight SSE2 registers; 4 × 6 and 4 × 8 tiles measured
+/// slower on the CNN's conv shapes.
+const MR: usize = 2;
+/// Columns of `C` per full-width register tile; the last `n % NR` columns
+/// take tiles of width 4, 2 and 1.
+const NR: usize = 8;
 
 fn check_dims(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &[f64]) {
     assert_eq!(a.len(), m * k, "gemm: A must be m*k");
@@ -45,30 +52,74 @@ pub fn gemm_ref(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
     }
 }
 
-/// Cache-blocked fast path: identical per-element operation order to
-/// [`gemm_ref`], reorganized as `kk`-blocked row-panel updates whose inner
-/// `j` loop the compiler can vectorize.
+/// Register-tiled fast path: identical per-element operation order to
+/// [`gemm_ref`]. Each `MR × NR` tile of `C` is loaded once, accumulates
+/// its whole `kk` chain in registers, and is stored once.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match `m`/`k`/`n`.
 pub fn gemm_fast(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     check_dims(m, k, n, a, b, c);
-    let mut kk0 = 0;
-    while kk0 < k {
-        let kend = (kk0 + KC).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for kk in kk0..kend {
-                let aik = arow[kk];
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aik * bv;
-                }
+    let mut i0 = 0;
+    while i0 + MR <= m {
+        row_block::<MR>(i0, k, n, a, b, c);
+        i0 += MR;
+    }
+    if i0 < m {
+        row_block::<1>(i0, k, n, a, b, c);
+    }
+}
+
+/// Covers rows `i0..i0 + R` of `C` with tiles of width [`NR`], then one
+/// each of width 4, 2 and 1 as the remaining columns allow.
+fn row_block<const R: usize>(i0: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    let mut j0 = 0;
+    while j0 + NR <= n {
+        tile::<R, NR>(i0, j0, k, n, a, b, c);
+        j0 += NR;
+    }
+    if n - j0 >= 4 {
+        tile::<R, 4>(i0, j0, k, n, a, b, c);
+        j0 += 4;
+    }
+    if n - j0 >= 2 {
+        tile::<R, 2>(i0, j0, k, n, a, b, c);
+        j0 += 2;
+    }
+    if n > j0 {
+        tile::<R, 1>(i0, j0, k, n, a, b, c);
+    }
+}
+
+/// `C[i0..i0+R][j0..j0+W] += A[i0..i0+R][..] · B[..][j0..j0+W]`, with the
+/// tile held in local accumulators across the full ascending `kk` chain.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    let mut acc = [[0.0f64; W]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(i0 + r) * n + j0..][..W]);
+    }
+    let arows: [&[f64]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    for kk in 0..k {
+        let bv: &[f64; W] = b[kk * n + j0..][..W].try_into().expect("W columns");
+        for (row, arow) in acc.iter_mut().zip(&arows) {
+            let aik = arow[kk];
+            for (cv, &bv) in row.iter_mut().zip(bv) {
+                *cv += aik * bv;
             }
         }
-        kk0 = kend;
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i0 + r) * n + j0..][..W].copy_from_slice(row);
     }
 }
 
@@ -98,8 +149,25 @@ mod tests {
     #[test]
     fn fast_is_bit_identical_across_blocking_boundaries() {
         let mut rng = StdRng::seed_from_u64(7);
-        // k values straddling the KC block edge exercise the panel loop.
-        for (m, k, n) in [(1, 1, 1), (3, 63, 5), (4, 64, 4), (2, 65, 7), (5, 130, 3)] {
+        // Odd m leaves a one-row block; n not a multiple of 8 takes the
+        // narrower edge tiles. The last six are the spectrogram CNN's conv
+        // GEMMs (conv 2, conv 3, conv 1 at width divisor 4) and the feature
+        // CNN's.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 63, 5),
+            (4, 64, 4),
+            (2, 65, 7),
+            (5, 130, 3),
+            (3, 1, 9),
+            (1, 2, 15),
+            (32, 288, 256),
+            (16, 288, 64),
+            (32, 1, 1024),
+            (64, 192, 24),
+            (32, 192, 12),
+            (16, 96, 1),
+        ] {
             let a = mat(&mut rng, m * k);
             let b = mat(&mut rng, k * n);
             let init = mat(&mut rng, m * n);

@@ -14,22 +14,27 @@
 
 /// Symmetric per-tensor quantization to int8: `q = round(v / scale)`
 /// clamped to `[-127, 127]`, with `scale = max|v| / 127` (1.0 for an
-/// all-zero tensor). Non-finite values saturate.
+/// all-zero tensor). Infinities saturate and NaN maps to 0.
 #[must_use]
 pub fn quantize_symmetric(values: &[f64]) -> (Vec<i8>, f64) {
+    let mut q = Vec::new();
+    let scale = quantize_symmetric_into(values, &mut q);
+    (q, scale)
+}
+
+/// [`quantize_symmetric`] into a reused buffer; returns the scale.
+pub fn quantize_symmetric_into(values: &[f64], q: &mut Vec<i8>) -> f64 {
     let max = values.iter().fold(0.0f64, |a, &v| if v.is_finite() { a.max(v.abs()) } else { a });
     let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
-    let q = values
-        .iter()
-        .map(|&v| {
-            if v.is_nan() {
-                0
-            } else {
-                (v / scale).round().clamp(-127.0, 127.0) as i8
-            }
-        })
-        .collect();
-    (q, scale)
+    q.clear();
+    q.extend(values.iter().map(|&v| {
+        if v.is_nan() {
+            0
+        } else {
+            (v / scale).round().clamp(-127.0, 127.0) as i8
+        }
+    }));
+    scale
 }
 
 /// Reconstructs the real value a quantized entry represents.
@@ -51,8 +56,8 @@ pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) 
     assert_eq!(a.len(), m * k, "gemm_i8: A must be m*k");
     assert_eq!(b.len(), k * n, "gemm_i8: B must be k*n");
     assert_eq!(c.len(), m * n, "gemm_i8: C must be m*n");
-    // Same ikj row-panel shape as the f64 fast kernel; i16 products widen
-    // into the i32 accumulator without overflow.
+    // ikj row-panel loop; i16 products widen into the i32 accumulator
+    // without overflow.
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
@@ -98,6 +103,24 @@ mod tests {
         let (q, scale) = quantize_symmetric(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.0]);
         assert_eq!(scale, 1.0 / 127.0);
         assert_eq!(q, vec![127, -127, 0, 127]);
+    }
+
+    #[test]
+    fn quantizing_before_im2col_equals_quantizing_after() {
+        use crate::conv::im2col_2d;
+        let map = [0.5, -0.0, f64::NAN, 2.0, 0.0, -1.25, f64::INFINITY, 0.75, -3.0];
+        for input in [&map[..], &[0.0; 9][..], &[f64::NAN; 9][..]] {
+            for (kh, kw) in [(3, 3), (1, 1), (2, 3)] {
+                let mut cols = Vec::new();
+                im2col_2d(input, 1, 3, 3, kh, kw, &mut cols);
+                let (after, after_scale) = quantize_symmetric(&cols);
+                let (xq, before_scale) = quantize_symmetric(input);
+                let mut before = Vec::new();
+                im2col_2d(&xq, 1, 3, 3, kh, kw, &mut before);
+                assert_eq!(after, before, "{kh}x{kw} on {input:?}");
+                assert_eq!(after_scale.to_bits(), before_scale.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! forward. This crate owns the compute-dense pieces of that loop:
 //!
 //! - [`gemm`] — f64 matrix multiply, as a per-element scalar reference and
-//!   a cache-blocked fast path that is **bit-identical** to the reference
+//!   a register-tiled fast path that is **bit-identical** to the reference
 //!   (same additions, same order, same rounding);
 //! - [`conv`] — im2col lowering plus fused conv+bias(+ReLU) kernels for
 //!   the CNN's Conv1d/Conv2d forward passes;
 //! - [`int8`] — symmetric int8 quantization and an i32-accumulating int8
 //!   GEMM backing the `cnn-int8` degradation rung.
+//!
+//! `emoleak_ml::nn::LoweredCnn` runs both CNN rungs on these kernels.
 //!
 //! # The reference/fast contract
 //!
@@ -55,7 +57,7 @@ pub const ENV_KERNELS: &str = "EMOLEAK_KERNELS";
 pub enum KernelMode {
     /// The straightforward scalar implementations the kernels replaced.
     Reference,
-    /// im2col + cache-blocked GEMM, scratch-buffer STFT, fused features.
+    /// im2col + register-tiled GEMM, scratch-buffer STFT, fused features.
     #[default]
     Fast,
 }

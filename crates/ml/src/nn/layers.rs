@@ -9,12 +9,13 @@
 //! Convolutions are stride-1 with "same" zero padding (§IV-D.2: *"zero
 //! padding is applied to all inputs in the convolutional layers"*).
 
-use super::quant::LayerSpec;
+use super::lowered::LayerSpec;
 use super::tensor::Tensor;
 use emoleak_kernels::{conv, Activation, Conv1dScratch, Conv2dScratch, KernelMode};
 use rand::{Rng, SeedableRng};
 
-/// A typed input-shape mismatch reported by [`Layer::try_forward`].
+/// A typed input-shape mismatch reported by the lowered inference network
+/// ([`super::LoweredCnn`]).
 ///
 /// Carries the rejecting layer's name, what it expected, and the shape it
 /// was handed, so callers can degrade gracefully (the streaming service
@@ -47,15 +48,11 @@ impl std::error::Error for ShapeError {}
 /// workers (parallel k-fold trains one CNN per fold on its own thread).
 pub trait Layer: Send {
     /// Forward pass. `training` toggles dropout/batch-norm behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an input shape the layer cannot take.
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor;
-
-    /// Shape-checked forward pass. Layers that validate their input
-    /// override this to report a typed [`ShapeError`] (and implement
-    /// [`Layer::forward`] on top of it); the default delegates to
-    /// `forward` for layers with no checked failure mode.
-    fn try_forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, ShapeError> {
-        Ok(self.forward(input, training))
-    }
 
     /// Backward pass: consumes `dL/d(output)`, accumulates parameter
     /// gradients, returns `dL/d(input)`.
@@ -67,9 +64,9 @@ pub trait Layer: Send {
     /// Visits `(parameters, gradients)` pairs for the optimizer.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f64], &mut [f64])) {}
 
-    /// Describes this layer for int8 lowering ([`super::quant`]); `None`
-    /// marks a layer the quantized inference path cannot represent.
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    /// Describes this layer for inference lowering ([`super::lowered`]);
+    /// `None` marks a layer the lowered network cannot represent.
+    fn spec(&self) -> Option<LayerSpec> {
         None
     }
 
@@ -159,10 +156,9 @@ impl Layer for Dense {
         f(&mut self.b, &mut self.gb);
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::Dense {
             in_dim: self.in_dim,
-            out_dim: self.out_dim,
             w: self.w.clone(),
             b: self.b.clone(),
         })
@@ -211,7 +207,7 @@ impl Layer for Relu {
         }
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::Relu)
     }
 
@@ -267,7 +263,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         // Identity at inference time.
         Some(LayerSpec::Identity)
     }
@@ -304,7 +300,7 @@ impl Layer for Flatten {
         Tensor { shape: self.cached_shape.clone(), data: grad_out.data.clone() }
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::Flatten)
     }
 
@@ -321,7 +317,7 @@ impl Layer for Flatten {
 /// output `[C_out, H, W]`.
 ///
 /// The forward pass dispatches on [`KernelMode`]: `reference` runs the
-/// scalar loops, `fast` the im2col + cache-blocked GEMM kernel. Both are
+/// scalar loops, `fast` the im2col + register-tiled GEMM kernel. Both are
 /// bit-identical (see `emoleak_kernels::conv`); the backward pass is
 /// mode-independent.
 #[derive(Debug, Clone)]
@@ -369,18 +365,13 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        self.try_forward(input, training).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, ShapeError> {
-        if input.shape.len() != 3 || input.shape[0] != self.in_ch {
-            return Err(ShapeError {
-                layer: "Conv2d",
-                expected: format!("[{}, H, W]", self.in_ch),
-                got: input.shape.clone(),
-            });
-        }
+    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+        assert!(
+            input.shape.len() == 3 && input.shape[0] == self.in_ch,
+            "Conv2d expects [{}, H, W], got shape {:?}",
+            self.in_ch,
+            input.shape
+        );
         let (h, w) = (input.shape[1], input.shape[2]);
         self.cached_input = input.clone();
         let mut out = Tensor::zeros(&[self.out_ch, h, w]);
@@ -413,7 +404,7 @@ impl Layer for Conv2d {
                 &mut out.data,
             ),
         }
-        Ok(out)
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -463,10 +454,9 @@ impl Layer for Conv2d {
         f(&mut self.b, &mut self.gb);
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::Conv2d {
             in_ch: self.in_ch,
-            out_ch: self.out_ch,
             kh: self.kh,
             kw: self.kw,
             w: self.w.clone(),
@@ -525,18 +515,13 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        self.try_forward(input, training).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, ShapeError> {
-        if input.shape.len() != 2 || input.shape[0] != self.in_ch {
-            return Err(ShapeError {
-                layer: "Conv1d",
-                expected: format!("[{}, L]", self.in_ch),
-                got: input.shape.clone(),
-            });
-        }
+    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+        assert!(
+            input.shape.len() == 2 && input.shape[0] == self.in_ch,
+            "Conv1d expects [{}, L], got shape {:?}",
+            self.in_ch,
+            input.shape
+        );
         let l = input.shape[1];
         self.cached_input = input.clone();
         let mut out = Tensor::zeros(&[self.out_ch, l]);
@@ -565,7 +550,7 @@ impl Layer for Conv1d {
                 &mut out.data,
             ),
         }
-        Ok(out)
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -606,10 +591,9 @@ impl Layer for Conv1d {
         f(&mut self.b, &mut self.gb);
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::Conv1d {
             in_ch: self.in_ch,
-            out_ch: self.out_ch,
             k: self.k,
             w: self.w.clone(),
             b: self.b.clone(),
@@ -624,6 +608,63 @@ impl Layer for Conv1d {
 // ---------------------------------------------------------------------------
 // MaxPool
 // ---------------------------------------------------------------------------
+
+/// Max-pools a `[C, H, W]` map over non-overlapping `ph × pw` windows into
+/// `[C, max(H / ph, 1), max(W / pw, 1)]`, returning the output's height and
+/// width. A 1-D `[C, L]` map is the case `H = ph = 1`.
+///
+/// Each output keeps the first candidate strictly greater than all before
+/// it, visiting its window row by row (`dy`, then `dx`). So NaNs never
+/// win, and a window with nothing above `-∞` yields `-∞` with argmax 0.
+/// `argmax`, when given, receives each output's flat input index for the
+/// backward pass. The layers and the lowered network share this one loop.
+pub(crate) fn max_pool(
+    input: &[f64],
+    (c, h, w): (usize, usize, usize),
+    (ph, pw): (usize, usize),
+    out: &mut Vec<f64>,
+    mut argmax: Option<&mut Vec<usize>>,
+) -> (usize, usize) {
+    let (oh, ow) = ((h / ph).max(1), (w / pw).max(1));
+    out.clear();
+    if let Some(argmax) = argmax.as_deref_mut() {
+        argmax.clear();
+    }
+    for ch in 0..c {
+        for y in 0..oh {
+            // A lone partial window (H < ph or W < pw) is clipped to the map.
+            let rows = y * ph..(y * ph + ph).min(h);
+            for x in 0..ow {
+                let cols = x * pw..(x * pw + pw).min(w);
+                let (mut best, mut best_i) = (f64::NEG_INFINITY, 0);
+                for iy in rows.clone() {
+                    let i0 = (ch * h + iy) * w + cols.start;
+                    for (i, &v) in (i0..).zip(&input[i0..i0 + cols.len()]) {
+                        if v > best {
+                            best = v;
+                            best_i = i;
+                        }
+                    }
+                }
+                out.push(best);
+                if let Some(argmax) = argmax.as_deref_mut() {
+                    argmax.push(best_i);
+                }
+            }
+        }
+    }
+    (oh, ow)
+}
+
+/// A pool's backward pass: each output's gradient goes to the input its
+/// forward pass picked.
+fn route_to_argmax(argmax: &[usize], in_shape: &[usize], grad_out: &Tensor) -> Tensor {
+    let mut grad_in = Tensor::zeros(in_shape);
+    for (oi, &ii) in argmax.iter().enumerate() {
+        grad_in.data[ii] += grad_out.data[oi];
+    }
+    grad_in
+}
 
 /// 2-D max pooling with square kernel = stride. Input `[C, H, W]`.
 #[derive(Debug, Clone)]
@@ -649,50 +690,18 @@ impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
         assert_eq!(input.shape.len(), 3, "maxpool2d expects [C, H, W]");
         let (c, h, w) = (input.shape[0], input.shape[1], input.shape[2]);
-        let (oh, ow) = ((h / self.pool).max(1), (w / self.pool).max(1));
         self.in_shape = input.shape.clone();
-        self.argmax = vec![0; c * oh * ow];
-        let mut out = Tensor::zeros(&[c, oh, ow]);
-        for ch in 0..c {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_i = 0;
-                    for dy in 0..self.pool.min(h - y * self.pool.min(h)) {
-                        let iy = y * self.pool + dy;
-                        if iy >= h {
-                            break;
-                        }
-                        for dx in 0..self.pool {
-                            let ix = x * self.pool + dx;
-                            if ix >= w {
-                                break;
-                            }
-                            let i = (ch * h + iy) * w + ix;
-                            if input.data[i] > best {
-                                best = input.data[i];
-                                best_i = i;
-                            }
-                        }
-                    }
-                    let oi = (ch * oh + y) * ow + x;
-                    out.data[oi] = best;
-                    self.argmax[oi] = best_i;
-                }
-            }
-        }
-        out
+        let mut out = Vec::new();
+        let pool = (self.pool, self.pool);
+        let (oh, ow) = max_pool(&input.data, (c, h, w), pool, &mut out, Some(&mut self.argmax));
+        Tensor::from_shape(&[c, oh, ow], out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&self.in_shape);
-        for (oi, &ii) in self.argmax.iter().enumerate() {
-            grad_in.data[ii] += grad_out.data[oi];
-        }
-        grad_in
+        route_to_argmax(&self.argmax, &self.in_shape, grad_out)
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::MaxPool2d { pool: self.pool })
     }
 
@@ -725,42 +734,18 @@ impl Layer for MaxPool1d {
     fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
         assert_eq!(input.shape.len(), 2, "maxpool1d expects [C, L]");
         let (c, l) = (input.shape[0], input.shape[1]);
-        let ol = (l / self.pool).max(1);
         self.in_shape = input.shape.clone();
-        self.argmax = vec![0; c * ol];
-        let mut out = Tensor::zeros(&[c, ol]);
-        for ch in 0..c {
-            for t in 0..ol {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_i = 0;
-                for d in 0..self.pool {
-                    let it = t * self.pool + d;
-                    if it >= l {
-                        break;
-                    }
-                    let i = ch * l + it;
-                    if input.data[i] > best {
-                        best = input.data[i];
-                        best_i = i;
-                    }
-                }
-                let oi = ch * ol + t;
-                out.data[oi] = best;
-                self.argmax[oi] = best_i;
-            }
-        }
-        out
+        let mut out = Vec::new();
+        let pool = (1, self.pool);
+        let (_, ol) = max_pool(&input.data, (c, 1, l), pool, &mut out, Some(&mut self.argmax));
+        Tensor::from_shape(&[c, ol], out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&self.in_shape);
-        for (oi, &ii) in self.argmax.iter().enumerate() {
-            grad_in.data[ii] += grad_out.data[oi];
-        }
-        grad_in
+        route_to_argmax(&self.argmax, &self.in_shape, grad_out)
     }
 
-    fn quant_spec(&self) -> Option<LayerSpec> {
+    fn spec(&self) -> Option<LayerSpec> {
         Some(LayerSpec::MaxPool1d { pool: self.pool })
     }
 
@@ -1052,6 +1037,46 @@ mod tests {
         assert_eq!(grad.data[1], 1.0); // routed to the 5.0 position
         assert_eq!(grad.data[7], 2.0); // routed to the 6.0 position
         assert_eq!(grad.data.iter().sum::<f64>(), 3.0);
+    }
+
+    #[test]
+    fn max_pool_matches_a_per_window_scan() {
+        // Ties, NaNs, -∞ and non-divisible sides: the row-wise loop must
+        // pick the same value and the same argmax as scanning each window
+        // in dy, dx order for the first strict maximum.
+        let special = [f64::NAN, f64::NEG_INFINITY, 1.0, 1.0, -0.0, 0.0];
+        let shapes = [(2, 5, 7, 2, 2), (1, 1, 9, 1, 4), (3, 3, 2, 4, 4), (1, 6, 6, 3, 2)];
+        for (c, h, w, ph, pw) in shapes {
+            let value = |i: usize| match i % 5 {
+                0 => special[(i / 5) % 6],
+                _ => ((i * 7) % 11) as f64 - 5.0,
+            };
+            let input: Vec<f64> = (0..c * h * w).map(value).collect();
+            let (oh, ow) = ((h / ph).max(1), (w / pw).max(1));
+            let mut want = (Vec::new(), Vec::new());
+            for ch in 0..c {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let (mut best, mut best_i) = (f64::NEG_INFINITY, 0);
+                        for iy in (y * ph..y * ph + ph).filter(|&iy| iy < h) {
+                            for ix in (x * pw..x * pw + pw).filter(|&ix| ix < w) {
+                                let i = (ch * h + iy) * w + ix;
+                                if input[i] > best {
+                                    (best, best_i) = (input[i], i);
+                                }
+                            }
+                        }
+                        want.0.push(best.to_bits());
+                        want.1.push(best_i);
+                    }
+                }
+            }
+            let (mut out, mut argmax) = (Vec::new(), Vec::new());
+            let dims = max_pool(&input, (c, h, w), (ph, pw), &mut out, Some(&mut argmax));
+            assert_eq!(dims, (oh, ow));
+            let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!((bits, argmax), want, "{c}x{h}x{w} by {ph}x{pw}");
+        }
     }
 
     #[test]

@@ -28,14 +28,15 @@
 
 pub mod architectures;
 pub mod layers;
+pub mod lowered;
 pub mod optimizer;
-pub mod quant;
 pub mod tensor;
 
 pub use architectures::{feature_cnn, feature_cnn_scaled, spectrogram_cnn, spectrogram_cnn_scaled, CnnClassifier};
 pub use layers::ShapeError;
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quant::QuantizedCnn;
+pub use lowered::{CnnScratch, LoweredCnn, Precision};
+pub use emoleak_kernels::KernelMode;
 pub use tensor::Tensor;
 
 use crate::linalg::{argmax, softmax_inplace};
@@ -109,29 +110,10 @@ impl Sequential {
         x
     }
 
-    /// Shape-checked forward pass producing logits, reporting a typed
-    /// [`ShapeError`] instead of panicking when a layer rejects its input.
-    pub fn try_forward(
-        &mut self,
-        input: &Tensor,
-        training: bool,
-    ) -> Result<Tensor, ShapeError> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.try_forward(&x, training)?;
-        }
-        Ok(x)
-    }
-
     /// Predicted class for one input.
     pub fn predict(&mut self, input: &Tensor) -> usize {
         let logits = self.forward(input, false);
         argmax(&logits.data)
-    }
-
-    /// Shape-checked [`Sequential::predict`].
-    pub fn try_predict(&mut self, input: &Tensor) -> Result<usize, ShapeError> {
-        Ok(argmax(&self.try_forward(input, false)?.data))
     }
 
     /// Softmax class probabilities for one input.

@@ -7,7 +7,9 @@
 //! values by driving the explicit-mode seams (`*_in_mode`, `*_ref`/`*_fast`)
 //! directly, so no test ever mutates the process-global `EMOLEAK_KERNELS`
 //! variable (that end-to-end angle lives in `tests/kernel_parity.rs`, which
-//! owns the variable in its own test binary).
+//! owns the variable in its own test binary). The lowered CNN is held to
+//! `Sequential::forward(x, false)` the same way, through its explicit
+//! `Precision::F64(mode)` seam.
 
 use emoleak::dsp::fft::Fft;
 use emoleak::dsp::{Complex, StftConfig};
@@ -15,6 +17,8 @@ use emoleak::features::{freq_domain, time_domain};
 use emoleak::kernels::conv::{conv1d_fast, conv1d_ref, conv2d_fast, conv2d_ref};
 use emoleak::kernels::gemm::{gemm_fast, gemm_ref};
 use emoleak::kernels::{Activation, Conv1dScratch, Conv2dScratch, KernelMode};
+use emoleak::ml::nn::{spectrogram_cnn_scaled, CnnScratch, LoweredCnn, Precision, Tensor};
+use emoleak::ml::nn::{Sequential, TrainConfig};
 use proptest::prelude::*;
 
 /// Bit-level equality: `a == b` as u64 payloads, so NaNs and signed zeros
@@ -35,7 +39,7 @@ fn act_of(relu: bool) -> Activation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cache-blocked GEMM performs the identical per-element rounding
+    /// The register-tiled GEMM performs the identical per-element rounding
     /// sequence as the scalar reference — bit-identical for all inputs,
     /// including a non-zero preloaded C (the bias-preload idiom).
     #[test]
@@ -200,5 +204,76 @@ proptest! {
         let reference = freq_domain::extract_in_mode(&region, fs, KernelMode::Reference);
         let fast = freq_domain::extract_in_mode(&region, fs, KernelMode::Fast);
         prop_assert!(bits_eq(&reference, &fast));
+    }
+}
+
+/// A `[1, 32, 32]` spectrogram-shaped input: `zeros` marks pixels that
+/// become `+0.0` (mark 0) or `-0.0` (mark 1); the rest keep their value.
+fn image(values: &[f64], zeros: &[u32]) -> Tensor {
+    let pixels = values
+        .iter()
+        .zip(zeros)
+        .map(|(&v, &z)| match z {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v,
+        })
+        .collect();
+    Tensor::from_shape(&[1, 32, 32], pixels)
+}
+
+/// Asserts the lowered network's f64 logits equal `net.forward(x, false)`
+/// bit for bit in both kernel modes, on a scratch dirtied by `other`.
+fn assert_lowered_matches(net: &mut Sequential, other: &LoweredCnn, x: &Tensor) {
+    let want: Vec<u64> = net.forward(x, false).data.iter().map(|v| v.to_bits()).collect();
+    let lowered = LoweredCnn::from_sequential(net).expect("the spectrogram CNN lowers");
+    for mode in [KernelMode::Reference, KernelMode::Fast] {
+        let mut scratch = CnnScratch::default();
+        other.try_logits(&x.shape, &x.data, Precision::F64(mode), &mut scratch).unwrap();
+        let got = lowered.try_logits(&x.shape, &x.data, Precision::F64(mode), &mut scratch);
+        let got: Vec<u64> = got.unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{mode}");
+    }
+}
+
+proptest! {
+    // Each case runs five forwards of a CNN up to 32 channels wide.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The lowered network's f64 forward is `Sequential::forward(x, false)`
+    /// bit for bit, in both kernel modes, across widths, weight seeds and
+    /// inputs with negatives and signed zeros, on a scratch last used by a
+    /// network of another width.
+    #[test]
+    fn lowered_cnn_matches_sequential_bit_for_bit(
+        divisor in 4usize..33,
+        other_divisor in 4usize..33,
+        seed in 0u64..1_000_000,
+        values in prop::collection::vec(-2.0f64..2.0, 32 * 32),
+        zeros in prop::collection::vec(0u32..8, 32 * 32),
+    ) {
+        let mut net = spectrogram_cnn_scaled(7, seed, divisor);
+        let other = LoweredCnn::from_sequential(&spectrogram_cnn_scaled(7, !seed, other_divisor));
+        assert_lowered_matches(&mut net, &other.unwrap(), &image(&values, &zeros));
+    }
+}
+
+/// After a short training run (weights and biases off their initial
+/// values), the lowered f64 logits still equal `Sequential::forward` bit
+/// for bit.
+#[test]
+fn lowered_cnn_matches_sequential_after_training() {
+    let sample = |i: usize| {
+        let values: Vec<f64> = (0..32 * 32).map(|p| ((p * (i + 3)) as f64 * 0.011).sin()).collect();
+        image(&values, &[2; 32 * 32])
+    };
+    let xs: Vec<Tensor> = (0..6).map(sample).collect();
+    let ys: Vec<usize> = (0..6).map(|i| i % 3).collect();
+    let mut net = spectrogram_cnn_scaled(3, 11, 16);
+    let config = TrainConfig { epochs: 2, batch_size: 2, learning_rate: 1e-2, seed: 5 };
+    net.fit(&xs, &ys, &xs[..1], &ys[..1], &config);
+    let other = LoweredCnn::from_sequential(&spectrogram_cnn_scaled(3, 12, 32)).unwrap();
+    for x in xs.iter().chain([&sample(17)]) {
+        assert_lowered_matches(&mut net, &other, x);
     }
 }
