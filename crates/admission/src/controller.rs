@@ -182,14 +182,20 @@ impl AdmissionController {
         &self.cfg
     }
 
+    /// `name`'s state, created on first use. The key is allocated only
+    /// then: every later call looks the tenant up by `&str`.
     fn tenant(&mut self, name: &str) -> &mut TenantState {
-        let cfg = &self.cfg;
-        self.tenants.entry(name.to_string()).or_insert_with(|| TenantState {
-            bucket: TokenBucket::new(cfg.tenant_rps, cfg.tenant_burst),
-            sessions: Bulkhead::new(cfg.tenant_sessions),
-            stats: TenantStats::default(),
-            next_seq: 0,
-        })
+        if !self.tenants.contains_key(name) {
+            let cfg = &self.cfg;
+            let fresh = TenantState {
+                bucket: TokenBucket::new(cfg.tenant_rps, cfg.tenant_burst),
+                sessions: Bulkhead::new(cfg.tenant_sessions),
+                stats: TenantStats::default(),
+                next_seq: 0,
+            };
+            self.tenants.insert(name.to_string(), fresh);
+        }
+        self.tenants.get_mut(name).expect("inserted above")
     }
 
     /// Opens a session for `tenant` at tick `now`.

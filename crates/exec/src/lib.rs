@@ -25,9 +25,10 @@
 //!
 //! The [`pool`] has two entry points that share one dealing and stealing
 //! loop: [`par_map_vec_indexed`] runs owned items on a process-wide set of
-//! parked workers (the fleet's per-tick fan-out), and [`par_map_indexed`]
-//! runs borrowed items on scoped threads spawned for the call (campaign
-//! work). In both the caller works as worker 0, and a panic in a work item
+//! parked workers (the fleet's shards with queued chunks, on a tick where
+//! several have them), and [`par_map_indexed`] runs borrowed items on
+//! scoped threads spawned for the call (campaign work). In both the caller
+//! works as worker 0, and a panic in a work item
 //! reaches the caller with its original payload. A region entered from
 //! inside a running region runs serially, which bounds the threads
 //! *running* a region's work at the worker count; parked workers sit idle.

@@ -4,11 +4,12 @@
 //! The coordinator owns the [`HashRing`] and every [`Shard`]. It assigns
 //! each tenant a global chunk sequence (so served order is independent of
 //! shard count), routes offers to the tenant's home shard, advances all
-//! shards one tick **in parallel** (each shard is owned by exactly one
-//! worker per tick — [`emoleak_exec::par_map_vec_indexed`] keeps the
-//! result order and therefore the byte stream deterministic, and runs on
-//! the process's parked workers, so a tick wakes threads rather than
-//! spawning them), and watches per-shard health.
+//! shards one tick, and watches per-shard health. A tick hands only the
+//! shards with queued chunks to [`emoleak_exec::par_map_vec_indexed`]
+//! (each shard owned by exactly one worker, on the process's parked
+//! workers) and steps the idle ones in place; a tick with at most one
+//! busy shard, the common case, wakes no worker. Ticks come back in
+//! shard-id order either way, so the byte stream is deterministic.
 //!
 //! # Failover and the conservation algebra
 //!
@@ -63,7 +64,9 @@
 
 use crate::config::{DiskConfig, FleetConfig};
 use crate::ring::HashRing;
-use crate::shard::{shard_journal_path, shard_replica_path, Shard, ShardHealth, ShardState};
+use crate::shard::{
+    shard_journal_path, shard_replica_path, Shard, ShardHealth, ShardState, ShardTick,
+};
 use crate::transport::{Msg, NetStats, NodeId, SimNet};
 use emoleak_admission::{AdmissionStats, QueuedChunk};
 use emoleak_core::admission::{AdmissionError, DurabilityLevel, FleetState};
@@ -415,11 +418,17 @@ impl FleetCoordinator {
     ///
     /// Panics if every shard has been retired (empty ring).
     pub fn offer(&mut self, tenant: &str, cost: u64, now: u64) -> Result<(), AdmissionError> {
-        let seq = {
-            let s = self.tenant_seq.entry(tenant.to_string()).or_insert(0);
-            let seq = *s;
-            *s += 1;
-            seq
+        // Look up by `&str` first: the key is allocated only on the
+        // tenant's first offer.
+        let seq = match self.tenant_seq.get_mut(tenant) {
+            Some(next) => {
+                *next += 1;
+                *next - 1
+            }
+            None => {
+                self.tenant_seq.insert(tenant.to_string(), 1);
+                0
+            }
         };
         let id = self.ring.route(tenant);
         if let Some(rt) = self.net.as_mut() {
@@ -455,37 +464,28 @@ impl FleetCoordinator {
         res
     }
 
-    /// Advances every live shard one tick in parallel (drain up to
-    /// `capacity` chunks each, observe, ledger on cadence). `panics` names
-    /// the shard ids whose drain worker the chaos harness kills this tick;
-    /// those panics are contained inside their shard. Served chunks come
-    /// back in shard-id-then-queue order — deterministic for any worker
-    /// count. A shard whose restart budget dies this tick is crash-failed
-    /// over before this returns.
+    /// Advances every live shard one tick (drain up to `capacity` chunks
+    /// each, observe, ledger on cadence). Shards with queued chunks run in
+    /// parallel on the pool's workers; idle ones step on the caller's
+    /// thread. `panics` names the shard ids whose drain worker the chaos
+    /// harness kills this tick; those panics are contained inside their
+    /// shard. Served chunks come back in shard-id-then-queue order —
+    /// deterministic for any worker count. A shard whose restart budget
+    /// dies this tick is crash-failed over before this returns.
     pub fn advance(&mut self, now: u64, capacity: usize, panics: &[u32]) -> Vec<QueuedChunk> {
         if self.net.is_some() {
             self.net_deliver(now);
             self.lease_expiry_failover(now);
         }
-        // The shards travel to the pool's long-lived workers, so the closure
-        // captures only owned values: settle the injected panics here.
-        let shards: Vec<(bool, Shard)> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|shard| (panics.contains(&shard.id()), shard))
-            .collect();
-        let mut results = par_map_vec_indexed(shards, move |_, (inject, mut shard)| {
-            let tick = shard.advance(now, capacity, inject);
-            (shard, tick)
-        });
+        let ticks = self.step_shards(now, capacity, panics);
         let mut served = Vec::new();
         let mut deaths = Vec::new();
-        for (shard, tick) in &mut results {
+        for (shard, mut tick) in self.shards.iter().zip(ticks) {
             served.append(&mut tick.served);
             if tick.died {
                 deaths.push(shard.id());
             }
         }
-        self.shards = results.into_iter().map(|(s, _)| s).collect();
         self.track_durability(now);
         for id in deaths {
             self.crash_failover(id, now);
@@ -495,6 +495,47 @@ impl FleetCoordinator {
             self.net_probe(now);
         }
         served
+    }
+
+    /// Runs [`Shard::advance`] on every shard and returns the ticks in
+    /// shard order. Only shards with queued chunks go to
+    /// [`par_map_vec_indexed`]: a shard with an empty queue only observes
+    /// and journals its ledger on cadence, which costs less than waking a
+    /// worker, so it steps in place on the caller's thread. Most ticks
+    /// leave at most one shard busy, and a one-item region runs inline,
+    /// so those ticks wake no worker; ticks where several shards serve
+    /// still overlap their journal fsyncs. Each shard owns all of its
+    /// state, so where it runs cannot change what it computes.
+    fn step_shards(&mut self, now: u64, capacity: usize, panics: &[u32]) -> Vec<ShardTick> {
+        // Busy shards travel to the pool's long-lived workers, so the
+        // closure captures only owned values: settle the injected panics
+        // here. Removing back to front keeps the lower indices valid.
+        let busy: Vec<usize> =
+            (0..self.shards.len()).rev().filter(|&i| self.shards[i].queued() > 0).collect();
+        let travelling: Vec<(bool, Shard)> = busy
+            .iter()
+            .map(|&i| self.shards.remove(i))
+            .map(|shard| (panics.contains(&shard.id()), shard))
+            .collect();
+        let fanned = par_map_vec_indexed(travelling, move |_, (inject, mut shard)| {
+            let tick = shard.advance(now, capacity, inject);
+            (shard, tick)
+        });
+        let mut ticks: Vec<ShardTick> = self
+            .shards
+            .iter_mut()
+            .map(|shard| {
+                let inject = panics.contains(&shard.id());
+                shard.advance(now, capacity, inject)
+            })
+            .collect();
+        // Inserting in ascending index order puts every busy shard back
+        // where it was.
+        for (i, (shard, tick)) in busy.into_iter().zip(fanned).rev() {
+            self.shards.insert(i, shard);
+            ticks.insert(i, tick);
+        }
+        ticks
     }
 
     /// Pumps the plane at `now` and applies every fresh delivery: offers

@@ -386,15 +386,19 @@ impl Shard {
         }
     }
 
+    /// Chunks waiting in the shard's ingest queue; zero for a retired
+    /// shard.
+    pub(crate) fn queued(&self) -> usize {
+        self.ctrl.as_ref().map_or(0, AdmissionController::queue_depth)
+    }
+
     /// One health sample for the coordinator's fleet view.
     pub fn health(&self) -> ShardHealth {
-        let (fleet, queue_depth, mem_charged, mem_budget) = match &self.ctrl {
-            Some(c) => {
-                let s = c.stats();
-                (c.fleet_state(), c.queue_depth(), s.mem_charged, c.config().mem_budget)
-            }
-            None => (FleetState::BrownOut, 0, 0, 0),
+        let (fleet, mem_charged, mem_budget) = match &self.ctrl {
+            Some(c) => (c.fleet_state(), c.stats().mem_charged, c.config().mem_budget),
+            None => (FleetState::BrownOut, 0, 0),
         };
+        let queue_depth = self.queued();
         ShardHealth {
             id: self.id,
             state: self.state,

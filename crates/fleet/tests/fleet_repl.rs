@@ -145,3 +145,109 @@ fn replication_is_invisible_on_the_clean_path() {
     std::fs::remove_dir_all(&dir_on).unwrap();
     std::fs::remove_dir_all(&dir_off).unwrap();
 }
+
+/// Every file the fleet left under `dir` (primary and replica journals,
+/// the coordinator's checkpoint journal), as `(name, bytes)` in name order.
+fn journal_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// One tenant homed on each shard, in shard-id order.
+fn one_tenant_per_shard(c: &FleetCoordinator) -> Vec<String> {
+    let mut homed: Vec<Option<String>> = vec![None; c.config().shards as usize];
+    for t in (0..).map(|k| format!("tenant-{k}")) {
+        let home = &mut homed[c.ring().route(&t) as usize];
+        if home.is_none() {
+            *home = Some(t);
+        }
+        if homed.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    homed.into_iter().map(Option::unwrap).collect()
+}
+
+/// What one run shows from outside the fleet.
+struct Observed {
+    served: Vec<(String, u64, u64)>,
+    stats: FleetStats,
+    level_ticks: [u64; 4],
+    files: Vec<(String, Vec<u8>)>,
+}
+
+impl Observed {
+    fn names(&self) -> Vec<&str> {
+        self.files.iter().map(|(name, _)| name.as_str()).collect()
+    }
+}
+
+/// A replicated 4-shard campaign driven from the calling thread, so its
+/// `advance` calls are top-level parallel regions. Even ticks are quiet:
+/// one tenant offers, one shard is busy and the tick runs inline. Odd
+/// ticks are bursts: every shard's tenant offers, every shard is busy and
+/// the tick fans out. Every tick serves all it queued.
+fn quiet_and_burst_campaign(dir: &std::path::Path) -> Observed {
+    let mut c = FleetCoordinator::new(config(1), dir).unwrap();
+    let homes = one_tenant_per_shard(&c);
+    let mut served = Vec::new();
+    for now in 0..120 {
+        let offering = if now % 2 == 1 {
+            &homes[..]
+        } else {
+            let k = (now / 2) as usize % homes.len();
+            &homes[k..=k]
+        };
+        for t in offering {
+            c.offer(t, 64, now).unwrap();
+        }
+        let busy = c.view().shards.iter().filter(|h| h.queue_depth > 0).count();
+        assert_eq!(busy, offering.len(), "tick {now}: the schedule's busy-shard count");
+        for chunk in c.advance(now, usize::MAX, &[]) {
+            served.push((chunk.tenant, chunk.seq, chunk.cost));
+        }
+        assert_eq!(c.stats().queued, 0, "tick {now}: every tick serves all it queued");
+    }
+    let (stats, level_ticks) = (c.stats(), c.durability_level_ticks());
+    drop(c);
+    Observed { served, stats, level_ticks, files: journal_files(dir) }
+}
+
+/// Quiet ticks step their one busy shard inline and burst ticks fan out to
+/// the pool, so a tick's thread count may differ from tick to tick; what
+/// the fleet serves and journals must not. This test exists because
+/// nothing else compares the fan-out's journals across thread counts:
+/// `fleet_chaos` runs each cell inside `par_map_indexed`, where a nested
+/// region runs serially, so CI's 1-vs-4-thread `cmp`s of its reports never
+/// run the coordinator's fan-out.
+#[test]
+fn quiet_and_burst_ticks_are_thread_identical_down_to_the_journal_bytes() {
+    let dir1 = scratch("mixed-t1");
+    let dir4 = scratch("mixed-t4");
+    let one = with_threads(1, || quiet_and_burst_campaign(&dir1));
+    let four = with_threads(4, || quiet_and_burst_campaign(&dir4));
+
+    assert_eq!(one.served.len(), 60 + 60 * 4, "one chunk per quiet tick, four per burst");
+    assert!(one.stats.conserves(), "{:?}", one.stats);
+    let replicas = one.names().iter().filter(|name| name.contains(".replica-on-")).count();
+    assert_eq!(replicas, 4, "every shard ships a replica: {:?}", one.names());
+
+    assert_eq!(one.served, four.served, "served stream diverged across thread counts");
+    assert_eq!(one.stats, four.stats, "counters diverged across thread counts");
+    assert_eq!(one.level_ticks, four.level_ticks, "durability occupancy diverged");
+    assert_eq!(one.names(), four.names(), "journal file sets differ");
+    for ((name, bytes1), (_, bytes4)) in one.files.iter().zip(&four.files) {
+        assert!(bytes1 == bytes4, "{name} differs across thread counts");
+    }
+
+    std::fs::remove_dir_all(&dir1).unwrap();
+    std::fs::remove_dir_all(&dir4).unwrap();
+}
