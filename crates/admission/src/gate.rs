@@ -34,12 +34,6 @@ impl FleetGate {
         FleetGate { ctrl: Arc::new(Mutex::new(AdmissionController::new(cfg))) }
     }
 
-    /// A gate over an already-configured controller (e.g. one with a
-    /// durable sink attached).
-    pub fn from_controller(ctrl: AdmissionController) -> Self {
-        FleetGate { ctrl: Arc::new(Mutex::new(ctrl)) }
-    }
-
     /// The shared controller, for driving `drain`/`observe` or reading
     /// stats and the event log.
     pub fn controller(&self) -> Arc<Mutex<AdmissionController>> {

@@ -6,9 +6,9 @@
 //! and asserts the *storage contract* on every run:
 //!
 //! * conservation — at every tick and after a full drain,
-//!   `offered == served + rejected + shed + queued + migrated`, with
-//!   `queued == 0` at the end. A dying disk may refuse or lose work; it
-//!   may never make the books lie;
+//!   `offered == served + rejected + shed + queued + migrated +
+//!   in_flight`, with nothing queued or in flight at the end. A dying
+//!   disk may refuse or lose work; it may never make the books lie;
 //! * zero escaped panics — ENOSPC, EIO storms, and dead-disk stalls are
 //!   absorbed by the durability ladder, never thrown at this harness;
 //! * ladder coherence — each shard's durability transitions form an
@@ -191,9 +191,10 @@ fn drive(
         }
         now += 1;
     }
-    // Full drain: the identity must close with queued == 0.
+    // Full drain: the identity must close with nothing queued or still
+    // on the plane.
     let mut drained = 0;
-    while coord.stats().queued > 0 && drained < 10_000 {
+    while !coord.stats().settled() && drained < 10_000 {
         for chunk in coord.advance(now, usize::MAX, &[]) {
             served.entry(chunk.tenant).or_default().push((chunk.seq, chunk.cost));
         }
@@ -208,8 +209,11 @@ fn drive(
     if !stats.conserves() {
         violations.push(format!("final identity broken: {stats:?}"));
     }
-    if stats.queued != 0 {
-        violations.push(format!("drained fleet still queues {} chunk(s)", stats.queued));
+    if !stats.settled() {
+        violations.push(format!(
+            "drained fleet still holds {} queued and {} in-flight chunk(s)",
+            stats.queued, stats.in_flight
+        ));
     }
     if view.live == 0 {
         violations.push("the fleet went dark: zero live shards".to_string());

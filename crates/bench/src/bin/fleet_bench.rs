@@ -16,16 +16,13 @@
 //! * `journal_append_us` — mean journal-append latency solo vs with a
 //!   synchronous replica ship, plus the overhead percentage: the price
 //!   of `EMOLEAK_REPLICAS=1` on the hot durable path;
-//! * `coordinator_tick_us` — mean cost of the chunk coordinator's
-//!   offer+advance hot loop on the direct in-process path vs through the
-//!   ideal simulated message plane, plus the overhead percentage: the
-//!   price of `EMOLEAK_NET=ideal` on the clean path (the served stream
-//!   itself is asserted identical — the plane may only cost time, never
-//!   bytes);
-//! * `durability_level_ticks` — shard-ticks the direct-path coordinator
-//!   run spent at each durability-ladder rung, best rung first. The disk
-//!   gauge is unarmed here, so a healthy build reports `[all, 0, 0, 0]`
-//!   — any nonzero tail is a storage regression;
+//! * `coordinator_tick_us` — mean cost of one tick of the chunk
+//!   coordinator's offer+advance hot loop over its message plane (every
+//!   offered chunk is asserted served on this clean run);
+//! * `durability_level_ticks` — shard-ticks that coordinator run spent
+//!   at each durability-ladder rung, best rung first. The disk gauge is
+//!   unarmed here, so a healthy build reports `[all, 0, 0, 0]` — any
+//!   nonzero tail is a storage regression;
 //! * admission counters — offered/admitted/spilled/refused sessions, so
 //!   a regression in the brown-out path shows up next to the latency it
 //!   causes.
@@ -70,15 +67,11 @@ fn journal_append_us(dir: &std::path::Path, n: u64, replicated: bool) -> f64 {
 }
 
 /// Mean per-tick cost (µs) of the chunk coordinator's offer+advance hot
-/// loop, the chunks it served, and the shard-ticks spent at each
-/// durability-ladder rung (best first — `[all, 0, 0, 0]` on a healthy
-/// disk): on the direct in-process path, or routed through the ideal
-/// simulated message plane. The serve counts of the two runs must match
-/// exactly — the transport is byte-invisible on the clean path, so the
-/// only thing it may add is time.
-fn coordinator_tick_us(dir: &std::path::Path, ticks: u64, net: bool) -> (f64, u64, [u64; 4]) {
-    use emoleak_fleet::{FleetCoordinator, NetProfileKind};
-    let sub = dir.join(if net { "coord-net" } else { "coord-direct" });
+/// loop, and the shard-ticks spent at each durability-ladder rung (best
+/// first — `[all, 0, 0, 0]` on a healthy disk). The run is clean, so
+/// every offered chunk must be served.
+fn coordinator_tick_us(dir: &std::path::Path, ticks: u64) -> (f64, [u64; 4]) {
+    use emoleak_fleet::FleetCoordinator;
     let mut cfg = FleetConfig {
         shards: 4,
         ledger_every: 10,
@@ -88,10 +81,8 @@ fn coordinator_tick_us(dir: &std::path::Path, ticks: u64, net: bool) -> (f64, u6
     cfg.admission.mem_budget = u64::MAX / 2;
     cfg.admission.tenant_rps = 1_000_000;
     cfg.admission.tenant_burst = 1_000_000;
-    if net {
-        cfg.net.profile = NetProfileKind::Ideal;
-    }
-    let mut coord = FleetCoordinator::new(cfg, &sub).expect("bench scratch dir is writable");
+    let mut coord =
+        FleetCoordinator::new(cfg, &dir.join("coord")).expect("bench scratch dir is writable");
     let mut served = 0u64;
     let t0 = Instant::now();
     for now in 0..ticks {
@@ -101,7 +92,9 @@ fn coordinator_tick_us(dir: &std::path::Path, ticks: u64, net: bool) -> (f64, u6
         served += coord.advance(now, usize::MAX, &[]).len() as u64;
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / ticks as f64;
-    (us, served, coord.durability_level_ticks())
+    let offered = coord.stats().offered;
+    assert!(served == offered, "a clean run served {served} of {offered} offered chunks");
+    (us, coord.view().durability_level_ticks)
 }
 
 fn main() -> Result<(), EmoleakError> {
@@ -209,20 +202,10 @@ fn main() -> Result<(), EmoleakError> {
         .map_err(|e| EmoleakError::Durable(format!("bench scratch dir: {e}")))?;
     let append_solo = journal_append_us(&scratch, 512, false);
     let append_repl = journal_append_us(&scratch, 512, true);
-    // The transport overhead column: the same coordinator hot loop on the
-    // direct path and through the ideal plane, with the serve counts
-    // pinned equal (time is the only acceptable cost).
-    let (tick_direct, served_direct, level_ticks) = coordinator_tick_us(&scratch, 256, false);
-    let (tick_net, served_net, _) = coordinator_tick_us(&scratch, 256, true);
-    assert!(
-        served_direct == served_net,
-        "the ideal plane changed what was served: {served_direct} direct vs {served_net} net"
-    );
+    let (tick_us, level_ticks) = coordinator_tick_us(&scratch, 256);
     let _ = std::fs::remove_dir_all(&scratch);
     let repl_overhead_pct =
         if append_solo > 0.0 { (append_repl / append_solo - 1.0) * 100.0 } else { 0.0 };
-    let net_overhead_pct =
-        if tick_direct > 0.0 { (tick_net / tick_direct - 1.0) * 100.0 } else { 0.0 };
 
     println!(
         "{ticks} ticks, {shards} shard(s): {offered} offered, {admitted} admitted \
@@ -237,10 +220,7 @@ fn main() -> Result<(), EmoleakError> {
         "journal append: {append_solo:.1}us solo, {append_repl:.1}us replicated \
          ({repl_overhead_pct:+.0}% replication overhead)"
     );
-    println!(
-        "coordinator tick: {tick_direct:.1}us direct, {tick_net:.1}us through the ideal \
-         plane ({net_overhead_pct:+.0}% transport overhead)"
-    );
+    println!("coordinator tick: {tick_us:.1}us");
 
     let json = format!(
         "{{\n  \"ticks\": {ticks},\n  \"shards\": {shards},\n  \"mean_rate\": {rate},\n  \
@@ -253,9 +233,7 @@ fn main() -> Result<(), EmoleakError> {
          \"journal_append_us\": {{\"solo\": {append_solo:.2}, \
          \"replicated\": {append_repl:.2}, \
          \"overhead_pct\": {repl_overhead_pct:.1}}},\n  \
-         \"coordinator_tick_us\": {{\"direct\": {tick_direct:.2}, \
-         \"ideal_net\": {tick_net:.2}, \
-         \"overhead_pct\": {net_overhead_pct:.1}}},\n  \
+         \"coordinator_tick_us\": {tick_us:.2},\n  \
          \"durability_level_ticks\": [{}, {}, {}, {}],\n  \
          \"bytes_per_verdict\": {bytes_per_verdict:.1}\n}}\n",
         level_ticks[0], level_ticks[1], level_ticks[2], level_ticks[3]

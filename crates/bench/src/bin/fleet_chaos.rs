@@ -5,8 +5,8 @@
 //! on every run:
 //!
 //! * conservation — at the end of every run (after a full drain),
-//!   `offered == served + rejected + shed + queued + migrated` fleet-wide,
-//!   with `queued == 0`;
+//!   `offered == served + rejected + shed + queued + migrated +
+//!   in_flight` fleet-wide, with nothing queued or in flight;
 //! * no lost tenants — after any single-shard kill, every tenant is still
 //!   served (its chunks flow through its new home shard);
 //! * contained panics — hostile chunks panic inside their shard only; a
@@ -33,11 +33,11 @@
 //!   plane (fully or one-way) self-fences when its lease runs out
 //!   *before* the coordinator fails it over, its journal replays the
 //!   queue exactly, and a resurrected stale incarnation's appends are
-//!   refused with a typed fencing error, bytes untouched. These three
-//!   scenarios force the simulated transport on (`NetProfile::ideal`)
-//!   even when `EMOLEAK_NET` leaves the rest of the grid on the direct
-//!   path; setting `EMOLEAK_NET=lossy|chaotic` runs the whole grid —
-//!   and the partition arc — through a faulty plane.
+//!   refused with a typed fencing error, bytes untouched. Every scenario
+//!   runs on the message plane, which is the coordinator's only path to
+//!   its shards: faultless by default, and `EMOLEAK_NET=lossy|chaotic`
+//!   runs the whole grid — the partition arc included — through a
+//!   faulty one.
 //!
 //! The simulation runs on the fleet's logical clock, and the scenario grid
 //! is parallelized with order-preserving `par_map_indexed`, so
@@ -100,8 +100,6 @@ enum Scenario {
     /// One shard is fully partitioned off the message plane mid-run: its
     /// lease must run out, the shard must self-fence *before* the
     /// coordinator fails it over, and its journal must replay exactly.
-    /// Forces the simulated transport on (`NetProfile::ideal` unless
-    /// `EMOLEAK_NET` already enables a faultier plane).
     Partition,
     /// One-way partition: the shard still hears the coordinator (offers
     /// and probes land) but its acks vanish. The lease is the only thing
@@ -127,17 +125,6 @@ const SCENARIOS: [(&str, Scenario); 12] = [
     ("asymmetric_partition", Scenario::AsymmetricPartition),
     ("stale_writer", Scenario::StaleWriter),
 ];
-
-impl Scenario {
-    /// The partition arc runs on the simulated message plane even when
-    /// `EMOLEAK_NET` leaves it off for the rest of the grid.
-    fn needs_transport(self) -> bool {
-        matches!(
-            self,
-            Scenario::Partition | Scenario::AsymmetricPartition | Scenario::StaleWriter
-        )
-    }
-}
 
 /// The fleet tuning every run uses: generous rate limits (floods are
 /// shaped by the byte budget and the breaker), a short ledger cadence so
@@ -214,10 +201,10 @@ fn corrupt_file(path: &std::path::Path) -> bool {
 
 /// The burst issued one tick before a kill: deep enough that the victim
 /// still holds queue at the moment of death even after one drain tick.
-/// It goes out a tick early so that — transport on or off — the chunks
-/// are *admitted and journaled* when the shard dies, not in flight on
-/// the plane (in-flight frames are rerouted at failover, which is
-/// lossless but is not the journal-replay path these scenarios pin).
+/// It goes out a tick early so that the chunks are *admitted and
+/// journaled* when the shard dies, not in flight on the plane (in-flight
+/// frames are rerouted at failover, which is lossless but is not the
+/// journal-replay path these scenarios pin).
 fn burst_victim_queue(coord: &mut FleetCoordinator, now: u64) {
     if coord.ring().len() < 2 {
         return;
@@ -286,10 +273,7 @@ fn simulate(
     violations: &mut Vec<String>,
     failover_wall: &mut Duration,
 ) -> Result<Fields, String> {
-    let mut cfg = fleet_config(env.shards, env.replicas, env.net);
-    if spec.scenario.needs_transport() && !cfg.net.enabled() {
-        cfg.net.profile = NetProfileKind::Ideal;
-    }
+    let cfg = fleet_config(env.shards, env.replicas, env.net);
     let replicated = cfg.replicated();
     // A deliberately faulty plane (`EMOLEAK_NET=lossy|chaotic`) weakens
     // the exact-replay expectations: part of a pre-kill burst can still
@@ -508,9 +492,10 @@ fn simulate(
         }
         now += 1;
     }
-    // Full drain: the identity must close with queued == 0.
+    // Full drain: the identity must close with nothing queued or still
+    // on the plane.
     let mut drained = 0;
-    while coord.stats().queued > 0 && drained < 10_000 {
+    while !coord.stats().settled() && drained < 10_000 {
         for chunk in coord.advance(now, usize::MAX, &[]) {
             served.entry(chunk.tenant.clone()).or_default().push((chunk.seq, chunk.cost));
             if killed.is_some() {
@@ -529,8 +514,11 @@ fn simulate(
     if !stats.conserves() {
         violations.push(format!("final identity broken: {stats:?}"));
     }
-    if stats.queued != 0 {
-        violations.push(format!("drained fleet still queues {} chunk(s)", stats.queued));
+    if !stats.settled() {
+        violations.push(format!(
+            "drained fleet still holds {} queued and {} in-flight chunk(s)",
+            stats.queued, stats.in_flight
+        ));
     }
     if view.live == 0 {
         violations.push("the fleet went dark: zero live shards".to_string());
@@ -739,12 +727,8 @@ fn simulate(
                         }
                     }
                     violations.extend(lost);
-                    match coord.net_stats() {
-                        Some(ns) if ns.partitioned == 0 => violations
-                            .push("the partition never blocked a frame".to_string()),
-                        Some(_) => {}
-                        None => violations
-                            .push("the partition arc ran without a transport".to_string()),
+                    if coord.net_stats().partitioned == 0 {
+                        violations.push("the partition never blocked a frame".to_string());
                     }
                 }
             }

@@ -425,15 +425,9 @@ impl ModelBundle {
         })
     }
 
-    /// Whether the CNN rung is backed by a trained network.
+    /// Whether the CNN rungs are backed by a trained network (the f64
+    /// and int8 rungs run the one lowered network).
     pub fn has_cnn(&self) -> bool {
-        self.cnn.is_some()
-    }
-
-    /// Whether the int8 CNN rung is backed by a quantized network. Both
-    /// CNN rungs run the one lowered network, so this equals
-    /// [`ModelBundle::has_cnn`].
-    pub fn has_cnn_int8(&self) -> bool {
         self.cnn.is_some()
     }
 

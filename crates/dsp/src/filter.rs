@@ -199,11 +199,6 @@ pub struct FilterCascade {
 }
 
 impl FilterCascade {
-    /// Creates a cascade from explicit sections.
-    pub fn from_sections(sections: Vec<Biquad>) -> Self {
-        FilterCascade { sections }
-    }
-
     /// The number of biquad sections.
     pub fn len(&self) -> usize {
         self.sections.len()

@@ -55,7 +55,6 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct MfccExtractor {
     config: MfccConfig,
-    fs: f64,
     fft: Fft,
     window: Vec<f64>,
     /// Triangular filterbank: per filter, (start bin, weights).
@@ -108,12 +107,7 @@ impl MfccExtractor {
             }
             filters.push((start_bin, weights));
         }
-        MfccExtractor { config, fs, fft, window, filters }
-    }
-
-    /// The sampling rate this extractor was built for.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
+        MfccExtractor { config, fft, window, filters }
     }
 
     /// MFCCs for one analysis frame (length `config.frame_len`).

@@ -154,11 +154,6 @@ impl Spectrogram {
         self.num_bins
     }
 
-    /// The sampling rate the spectrogram was computed at.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
-    }
-
     /// Power value at frame `t`, bin `k`.
     ///
     /// # Panics

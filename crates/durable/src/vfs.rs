@@ -229,11 +229,6 @@ impl FaultVfs {
         self.plan
     }
 
-    /// Total bytes the nemesis has accepted so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.lock().written
-    }
-
     /// Total fsync stall ticks charged so far.
     pub fn stalled_ticks(&self) -> u64 {
         self.lock().stalled

@@ -36,11 +36,6 @@ impl SpectrogramGenerator {
         }
     }
 
-    /// Creates a generator with an explicit STFT configuration.
-    pub fn with_config(stft: StftConfig) -> Self {
-        SpectrogramGenerator { stft, db_floor: 1e-14 }
-    }
-
     /// Generates the labeled 32×32 image for one region, or `None` if the
     /// region is shorter than one STFT frame.
     pub fn generate(&self, region: &[f64], fs: f64, label: usize) -> Option<LabeledSpectrogram> {

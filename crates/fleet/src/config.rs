@@ -8,7 +8,7 @@
 //! | `EMOLEAK_FLEET_SEED` | consistent-hash ring seed | `0xE40F_1EE7` |
 //! | `EMOLEAK_REPLICAS` | journal replicas per shard (0 disables replication) | 1 |
 //! | `EMOLEAK_SCRUB_EVERY` | ticks between anti-entropy scrub passes (0 disables) | 25 |
-//! | `EMOLEAK_NET` | transport profile: `off`, `ideal`, `lossy`, `chaotic` | `off` |
+//! | `EMOLEAK_NET` | message-plane fault profile: `ideal`, `lossy`, `chaotic` | `ideal` |
 //! | `EMOLEAK_NET_SEED` | transport fault seed (0 derives from the fleet seed) | 0 |
 //! | `EMOLEAK_NET_LEASE_TICKS` | shard serving-lease length, ticks | 8 |
 //! | `EMOLEAK_NET_DEDUP_WINDOW` | receiver dedup window, seqs per link | 1024 |
@@ -26,22 +26,21 @@ use emoleak_exec::{derive_seed, parse_checked};
 use emoleak_stream::disk::DiskGaugeConfig;
 
 /// Tuning for the simulated message plane
-/// ([`SimNet`](crate::transport::SimNet)) the coordinator routes
-/// shard traffic through when the profile is not
-/// [`NetProfileKind::Off`].
+/// ([`SimNet`](crate::transport::SimNet)) every coordinator↔shard
+/// exchange rides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Which fault profile the plane runs under. `Off` keeps the PR 6
-    /// direct in-process path, byte for byte.
+    /// Which fault profile the plane runs under.
     pub profile: NetProfileKind,
     /// Seed for the plane's fault draws. `0` derives a stream from the
     /// fleet seed so one knob reseeds everything together.
     pub seed: u64,
-    /// The serving-lease length, in ticks. Each coordinator heartbeat
-    /// grants `now + lease_ticks`; a shard whose lease expires unrenewed
-    /// self-fences, and the coordinator fails it over only after the
-    /// grant provably expired — the two deadlines are the same number,
-    /// so no tick exists where both sides believe they may act.
+    /// The serving-lease length, in ticks. Every fresh grant runs to
+    /// `now + lease_ticks`; the coordinator renews a lease that nothing
+    /// renewed for `lease_ticks / 2` ticks. A shard whose lease expires
+    /// unrenewed self-fences, and the coordinator fails it over only
+    /// after the grant provably expired — the two deadlines are the same
+    /// number, so no tick exists where both sides believe they may act.
     pub lease_ticks: u64,
     /// Receiver-side dedup window per directed link, in sequence numbers.
     pub dedup_window: usize,
@@ -50,18 +49,11 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            profile: NetProfileKind::Off,
+            profile: NetProfileKind::Ideal,
             seed: 0,
             lease_ticks: 8,
             dedup_window: 1024,
         }
-    }
-}
-
-impl NetConfig {
-    /// Whether traffic flows through the simulated plane at all.
-    pub fn enabled(&self) -> bool {
-        self.profile != NetProfileKind::Off
     }
 }
 
@@ -134,9 +126,8 @@ pub struct FleetConfig {
     /// live shard's replica against its primary (round-robin over the
     /// fleet) and read-repairs lag or divergence. `0` disables scrubbing.
     pub scrub_every: u64,
-    /// Simulated-transport tuning (`EMOLEAK_NET*`). Off by default: the
-    /// coordinator talks to shards by direct calls unless a profile is
-    /// selected.
+    /// Message-plane tuning (`EMOLEAK_NET*`): the coordinator reaches its
+    /// shards only over the plane, faultless by default.
     pub net: NetConfig,
     /// Per-shard admission tuning.
     pub admission: AdmissionConfig,
@@ -192,7 +183,7 @@ impl FleetConfig {
         }
         if let Some(kind) = parse_checked::<NetProfileKind>(
             "EMOLEAK_NET",
-            "one of off, ideal, lossy, chaotic",
+            "one of ideal, lossy, chaotic",
             |_| true,
         )? {
             cfg.net.profile = kind;
@@ -291,7 +282,7 @@ mod tests {
         }
         assert_eq!(FleetConfig::from_env().unwrap(), FleetConfig::default());
         assert!(FleetConfig::default().replicated(), "replication is on by default");
-        assert!(!FleetConfig::default().net.enabled(), "transport is off by default");
+        assert_eq!(FleetConfig::default().net.profile, NetProfileKind::Ideal);
         assert!(!FleetConfig::default().disk.armed(), "disk nemesis is off by default");
 
         std::env::set_var("EMOLEAK_SHARDS", "2");
@@ -309,7 +300,6 @@ mod tests {
         assert!(!cfg.replicated());
         assert_eq!(cfg.scrub_every, 10);
         assert_eq!(cfg.net.profile, NetProfileKind::Lossy);
-        assert!(cfg.net.enabled());
         assert_eq!(cfg.net.seed, 99);
         assert_eq!(cfg.net.lease_ticks, 12);
         assert_eq!(cfg.net.dedup_window, 256);
@@ -345,10 +335,14 @@ mod tests {
         assert!(err.to_string().contains("EMOLEAK_DISK_EIO_PPM"));
         std::env::remove_var("EMOLEAK_DISK_EIO_PPM");
 
-        std::env::set_var("EMOLEAK_NET", "flaky-wifi");
-        let err = FleetConfig::from_env().unwrap_err();
-        assert!(matches!(err, EmoleakError::Config(_)), "{err:?}");
-        assert!(err.to_string().contains("EMOLEAK_NET"));
+        // `off` names no profile: it is refused like any other unknown
+        // value.
+        for bad in ["flaky-wifi", "off"] {
+            std::env::set_var("EMOLEAK_NET", bad);
+            let err = FleetConfig::from_env().unwrap_err();
+            assert!(matches!(err, EmoleakError::Config(_)), "{bad}: {err:?}");
+            assert!(err.to_string().contains("EMOLEAK_NET"));
+        }
         std::env::remove_var("EMOLEAK_NET");
 
         std::env::set_var("EMOLEAK_NET_LEASE_TICKS", "0");

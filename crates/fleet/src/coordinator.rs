@@ -11,6 +11,23 @@
 //! busy shard, the common case, wakes no worker. Ticks come back in
 //! shard-id order either way, so the byte stream is deterministic.
 //!
+//! # One path: the message plane
+//!
+//! Every exchange between the coordinator and a shard is a frame on the
+//! simulated message plane ([`SimNet`]): offers are admitted when they
+//! are delivered, lease grants ride those offers (a [`Msg::Probe`] goes
+//! only to a shard nothing renewed for `lease_ticks / 2` ticks), health
+//! reaches the coordinator as [`Msg::Health`] only when a shard's breaker
+//! state or durability level changed, and a graceful failover is a
+//! [`Msg::Drain`] answered by [`Msg::Evacuated`]. Any frame delivered
+//! from a shard, acks included, counts as hearing from it; the
+//! coordinator grants leases only while it heard from the shard within
+//! `lease_ticks`, so a partitioned shard's lease runs out, the shard
+//! self-fences, and only then — at `now > granted_until + 1` — is it
+//! failed over. On the default plane
+//! ([`NetProfile::ideal`](crate::NetProfile::ideal)) an offer lands the
+//! tick it is made.
+//!
 //! # Failover and the conservation algebra
 //!
 //! The PR-5 identity `offered == served + rejected + shed + queued`
@@ -24,18 +41,23 @@
 //! front door**, so it counts once in the source shard's `migrated` and
 //! once in the target's `offered` — the fleet-wide roll-up (retired
 //! shards' final ledgers plus live shards' counters) then satisfies the
-//! identity by construction, with no special cases.
+//! identity by construction, with no special cases. Fleet-wide, an offer
+//! on the message plane counts in `offered` once sent and in
+//! [`FleetStats::in_flight`] until a shard applies it, so a drained fleet
+//! is [`FleetStats::settled`]: nothing queued, nothing in flight.
 //!
 //! Two failover paths:
 //!
-//! - **graceful** (sustained BrownOut): the shard is fenced — queue
-//!   evacuated with seq tags intact, final ledger journaled — its vnodes
-//!   leave the ring (only *its* tenants move), and the evacuees are
-//!   re-offered along each tenant's new route.
-//! - **crash** (panic budget exhausted, or a hard kill): in-memory state
-//!   is gone. With replication on (the default), the shard journaled an
-//!   admit record before every enqueue and a serve/shed record after
-//!   every dequeue, and shipped each committed record synchronously to a
+//! - **graceful** (sustained BrownOut): the shard's vnodes leave the ring
+//!   (only *its* tenants move) and it is sent a drain; it fences on
+//!   receipt — queue evacuated with seq tags intact, final ledger
+//!   journaled — and its evacuation, once delivered, books the retired
+//!   counters and re-offers the evacuees along each tenant's new route.
+//! - **crash** (panic budget exhausted, a hard kill, or an expired
+//!   lease): in-memory state is gone. With replication on (the
+//!   default), the shard journaled an admit record before every enqueue
+//!   and a serve/shed record after every dequeue, and shipped each
+//!   committed record synchronously to a
 //!   deterministic follower ([`HashRing::successor_shard`]). The
 //!   coordinator replays the first *clean* surviving segment — primary
 //!   (process death, disk intact) or replica (disk loss) — reconstructs
@@ -67,7 +89,7 @@ use crate::ring::HashRing;
 use crate::shard::{
     shard_journal_path, shard_replica_path, Shard, ShardHealth, ShardState, ShardTick,
 };
-use crate::transport::{Msg, NetStats, NodeId, SimNet};
+use crate::transport::{Delivery, Msg, NetStats, NodeId, SimNet};
 use emoleak_admission::{AdmissionStats, QueuedChunk};
 use emoleak_core::admission::{AdmissionError, DurabilityLevel, FleetState};
 use emoleak_durable::{Dec, Defect, DurableError, Enc, Journal};
@@ -75,6 +97,7 @@ use emoleak_exec::{derive_seed, par_map_vec_indexed};
 use emoleak_stream::durable::{recover_run, ChunkAdmit, LedgerRecord};
 use emoleak_stream::log::{ServiceEvent, ServiceLog};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,12 +130,22 @@ pub struct FleetStats {
     /// term: recovered chunks count as `migrated` at the dead shard and
     /// `offered` at their new home, exactly like a graceful evacuation.
     pub recovered: u64,
+    /// Offers on the message plane that no shard has applied yet, fresh
+    /// and re-offered alike: already in `offered`, not yet anywhere else.
+    pub in_flight: u64,
 }
 
 impl FleetStats {
     /// The fleet conservation identity.
     pub fn conserves(&self) -> bool {
-        self.offered == self.served + self.rejected + self.shed + self.queued + self.migrated
+        let booked = self.served + self.rejected + self.shed + self.queued + self.migrated;
+        self.offered == booked + self.in_flight
+    }
+
+    /// Whether every offer has reached its final ledger: nothing queued
+    /// on a live shard, nothing in flight on the plane.
+    pub fn settled(&self) -> bool {
+        self.queued == 0 && self.in_flight == 0
     }
 }
 
@@ -137,8 +170,6 @@ pub struct FailoverEvent {
     /// Chunks moved off the shard and re-offered: a graceful evacuation,
     /// or a crash replay out of a surviving journal.
     pub moved_chunks: u64,
-    /// Moved chunks the target shards refused.
-    pub reoffer_rejected: u64,
     /// Chunks booked as crash loss (crash only; zero when a clean journal
     /// copy survived).
     pub crash_loss: u64,
@@ -224,28 +255,43 @@ struct RetiredTotals {
     migrated: u64,
 }
 
-/// One shard's serving lease, as the coordinator tracks it.
+/// One live shard as the coordinator knows it: its serving lease and the
+/// newest health sample the plane delivered.
 #[derive(Debug, Clone, Copy)]
-struct Lease {
+struct Link {
     /// The furthest `lease_until` the coordinator has granted. The shard
     /// may serve through this tick, so failover before `now >
     /// granted_until` could split-brain; the coordinator never does.
     granted_until: u64,
-    /// The tick the last probe ack arrived. Grants stop when this goes
-    /// stale, which freezes `granted_until` and starts the failover clock.
-    last_ack: u64,
+    /// The tick the link came up: it counts as hearing from the shard,
+    /// so a recovered coordinator resuming mid-clock does not find every
+    /// lease stale on its first tick.
+    since: u64,
+    /// The tick a probe goes out unless a fresh grant renews the lease
+    /// first.
+    renew_at: u64,
+    /// The newest [`Msg::Health`] sample, with its link seq; `None`
+    /// until the shard reports a change from Healthy and Durable.
+    health: Option<(u64, ShardHealth)>,
 }
 
-/// The transport-mode state: the simulated plane plus the lease table and
-/// the probe-derived health cache.
-struct NetRuntime {
-    net: SimNet<Msg>,
-    lease_ticks: u64,
-    leases: BTreeMap<u32, Lease>,
-    /// Latest `ProbeAck` health per shard, with its arrival tick. `react`
-    /// keys off this in transport mode: the coordinator can only act on
-    /// what the (unreliable) plane actually told it.
-    health_cache: BTreeMap<u32, (u64, ShardHealth)>,
+impl Link {
+    /// The grant a frame sent to the shard at `now` carries. While the
+    /// coordinator heard from the shard within `lease_ticks` it extends
+    /// the lease to `now + lease_ticks` and reschedules the renewal
+    /// `half` ticks out. Once it went quiet, the frame re-states the
+    /// frozen grant instead (`grant_lease` is monotonic, so that never
+    /// extends anything): the lease runs down and both sides converge on
+    /// a fence and a failover with no overlap.
+    fn grant(&mut self, heard: Option<u64>, now: u64, lease_ticks: u64, half: u64) -> u64 {
+        let heard = heard.map_or(self.since, |t| t.max(self.since));
+        if now.saturating_sub(heard) > lease_ticks {
+            return self.granted_until;
+        }
+        self.granted_until = self.granted_until.max(now + lease_ticks);
+        self.renew_at = now + half;
+        now + lease_ticks
+    }
 }
 
 /// The fleet coordinator. See the module docs for the failover model.
@@ -255,7 +301,9 @@ pub struct FleetCoordinator {
     ring: HashRing,
     shards: Vec<Shard>,
     routed: BTreeMap<u32, u64>,
-    tenant_seq: BTreeMap<String, u64>,
+    /// Each tenant's next chunk seq, keyed by the name every offer of the
+    /// tenant shares.
+    tenant_seq: BTreeMap<Arc<str>, u64>,
     retired: RetiredTotals,
     crash_loss: u64,
     recovered: u64,
@@ -265,10 +313,13 @@ pub struct FleetCoordinator {
     failovers: Vec<FailoverEvent>,
     scrub_events: Vec<Defect>,
     internal_errors: Vec<FleetInternalError>,
-    /// `Some` when `cfg.net` selects a profile: all shard traffic flows
-    /// through the simulated plane. `None` is the direct-call path,
-    /// byte-for-byte the PR 6 behaviour.
-    net: Option<NetRuntime>,
+    /// The message plane every coordinator↔shard exchange rides.
+    net: SimNet<Msg>,
+    /// The frames one pump delivers; kept between ticks for its buffer.
+    inbox: Vec<Delivery<Msg>>,
+    /// Per shard not yet failed over (live, or draining): lease and
+    /// delivered health. A shard's link goes when its failover is booked.
+    links: BTreeMap<u32, Link>,
     /// Per-shard fencing-token authority: the minimum token the shard's
     /// journal currently accepts. Shared (`Arc`) with the shard's sink so
     /// a resurrected stale incarnation checks the *live* value.
@@ -299,27 +350,28 @@ impl FleetCoordinator {
         // The ring first: replication pairs (primary → follower) are read
         // off it before any shard exists.
         let ring = HashRing::new(cfg.seed, cfg.shards, cfg.vnodes);
-        let mut shards = Vec::with_capacity(cfg.shards as usize);
-        for id in 0..cfg.shards {
-            let follower = if cfg.replicated() { ring.successor_shard(id) } else { None };
-            shards.push(Shard::new(
-                id,
-                dir,
-                cfg.admission.clone(),
-                cfg.restart_budget,
-                cfg.ledger_every,
-                cfg.replicated(),
-                follower,
-                DiskConfig { plan: cfg.disk.shard_plan(cfg.seed, id), gauge: cfg.disk.gauge },
-            )?);
-        }
         let checkpoint = Journal::create(&coordinator_journal_path(dir))?;
-        let mut coord = FleetCoordinator {
+        let mut coord = FleetCoordinator::bare(cfg, dir, ring, checkpoint);
+        for id in 0..coord.cfg.shards {
+            coord.spawn_shard(id, 0)?;
+        }
+        Ok(coord)
+    }
+
+    /// A coordinator with no shards yet: a fresh plane, empty books.
+    fn bare(cfg: FleetConfig, dir: &Path, ring: HashRing, checkpoint: Journal) -> Self {
+        let seed = match cfg.net.seed {
+            0 => derive_seed(cfg.seed, 0x005E_70FF_A111),
+            s => s,
+        };
+        FleetCoordinator {
+            net: SimNet::new(cfg.net.profile.profile(), seed, cfg.net.dedup_window, 2),
+            inbox: Vec::new(),
             ring,
-            routed: (0..cfg.shards).map(|id| (id, 0)).collect(),
+            routed: BTreeMap::new(),
             cfg,
             dir: dir.to_path_buf(),
-            shards,
+            shards: Vec::new(),
             tenant_seq: BTreeMap::new(),
             retired: RetiredTotals::default(),
             crash_loss: 0,
@@ -330,13 +382,11 @@ impl FleetCoordinator {
             failovers: Vec::new(),
             scrub_events: Vec::new(),
             internal_errors: Vec::new(),
-            net: None,
+            links: BTreeMap::new(),
             fence_authorities: BTreeMap::new(),
             log: ServiceLog::new(),
             durability_level_ticks: [0; 4],
-        };
-        coord.arm_transport(0);
-        Ok(coord)
+        }
     }
 
     /// The fencing token every first shard incarnation holds. Authorities
@@ -344,37 +394,43 @@ impl FleetCoordinator {
     /// shard's authority past it, fencing the incarnation out.
     const FIRST_INCARNATION_TOKEN: u64 = 1;
 
-    /// Brings up the simulated message plane when the config selects a
-    /// profile: every shard gets a fencing token on its journal writer, a
-    /// lease gate on its drain loop, and a lease entry at the coordinator.
-    /// `start` anchors the first lease grants: tick 0 for a fresh fleet,
-    /// the checkpoint tick for a recovered one — a recovered coordinator
-    /// resumes mid-clock, and leases dated from 0 would all look expired
-    /// on the first advance, failing over the entire (healthy) fleet.
-    fn arm_transport(&mut self, start: u64) {
-        let Some(profile) = self.cfg.net.profile.profile() else { return };
-        let seed = match self.cfg.net.seed {
-            0 => derive_seed(self.cfg.seed, 0x005E_70FF_A111),
-            s => s,
-        };
-        let lease_ticks = self.cfg.net.lease_ticks;
-        let mut leases = BTreeMap::new();
-        for shard in &mut self.shards {
-            let authority = Arc::new(AtomicU64::new(0));
-            shard.arm_fence(Self::FIRST_INCARNATION_TOKEN, authority.clone());
-            shard.enable_lease(start + lease_ticks);
-            self.fence_authorities.insert(shard.id(), authority);
-            leases.insert(
-                shard.id(),
-                Lease { granted_until: start + lease_ticks, last_ack: start },
-            );
-        }
-        self.net = Some(NetRuntime {
-            net: SimNet::new(profile, seed, self.cfg.net.dedup_window, 2),
-            lease_ticks,
-            leases,
-            health_cache: BTreeMap::new(),
-        });
+    /// Lease ticks between renewals of a lease nothing else renewed:
+    /// half the lease, so a renewal always lands with time to spare.
+    fn renew_every(&self) -> u64 {
+        (self.cfg.net.lease_ticks / 2).max(1)
+    }
+
+    /// Brings up shard `id` on the ring's current follower: a fresh
+    /// journal segment under a fencing token, a lease through `start +
+    /// lease_ticks`, and a link at the coordinator. `start` is tick 0 for
+    /// a fresh fleet and the checkpoint tick for a recovered one — a
+    /// recovered coordinator resumes mid-clock, and leases dated from 0
+    /// would all look expired on the first advance, failing over the
+    /// entire (healthy) fleet. First renewals are staggered by shard id.
+    fn spawn_shard(&mut self, id: u32, start: u64) -> Result<(), DurableError> {
+        let cfg = &self.cfg;
+        let follower = if cfg.replicated() { self.ring.successor_shard(id) } else { None };
+        let lease_until = start + cfg.net.lease_ticks;
+        let shard = Shard::new(
+            id,
+            &self.dir,
+            cfg.admission.clone(),
+            cfg.restart_budget,
+            cfg.ledger_every,
+            cfg.replicated(),
+            follower,
+            DiskConfig { plan: cfg.disk.shard_plan(cfg.seed, id), gauge: cfg.disk.gauge },
+            lease_until,
+        )?;
+        let authority = Arc::new(AtomicU64::new(0));
+        shard.arm_fence(Self::FIRST_INCARNATION_TOKEN, authority.clone());
+        self.fence_authorities.insert(id, authority);
+        let renew_at = start + 1 + u64::from(id) % self.renew_every();
+        self.links
+            .insert(id, Link { granted_until: lease_until, since: start, renew_at, health: None });
+        self.routed.insert(id, 0);
+        self.shards.push(shard);
+        Ok(())
     }
 
     /// The live routing ring.
@@ -400,83 +456,72 @@ impl FleetCoordinator {
     }
 
     /// Offers one chunk for `tenant`: assigns the tenant's next global
-    /// seq, routes to the home shard, and counts the route. The seq
-    /// advances even on a refusal, so numbering is a pure function of the
-    /// offer stream — not of per-shard admission outcomes.
+    /// seq and sends the chunk to its home shard as a [`Msg::Offer`]. The
+    /// seq advances even on a refusal, so numbering is a pure function of
+    /// the offer stream — not of per-shard admission outcomes.
     ///
-    /// In transport mode the offer is *sent*, not applied: it rides the
-    /// plane as a `Msg::Offer` and is admitted when it arrives (same tick
-    /// under [`crate::transport::NetProfile::ideal`]). The call then
-    /// always returns `Ok` — admission refusals happen at the shard's
-    /// front door on delivery and are counted there.
+    /// The shard admits the offer when it is delivered (the same tick on
+    /// the ideal plane), so admission refusals happen at its front door
+    /// and are counted there; the offer itself is `Ok`, and counts in
+    /// [`FleetStats::in_flight`] until it lands.
     ///
     /// # Errors
     ///
-    /// Whatever the home shard's front door refuses with (direct mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if every shard has been retired (empty ring).
+    /// [`AdmissionError::BrownedOut`] when no shard is left to route to
+    /// (every shard retired): the chunk is booked as offered and rejected
+    /// in the retired ledger.
     pub fn offer(&mut self, tenant: &str, cost: u64, now: u64) -> Result<(), AdmissionError> {
-        // Look up by `&str` first: the key is allocated only on the
-        // tenant's first offer.
-        let seq = match self.tenant_seq.get_mut(tenant) {
-            Some(next) => {
-                *next += 1;
-                *next - 1
-            }
-            None => {
-                self.tenant_seq.insert(tenant.to_string(), 1);
-                0
-            }
-        };
-        let id = self.ring.route(tenant);
-        if let Some(rt) = self.net.as_mut() {
-            let msg = Msg::Offer { tenant: tenant.to_string(), chunk_seq: seq, cost };
-            rt.net.send(NodeId::Coordinator, NodeId::Shard(id), msg, now);
-            return Ok(());
+        let (tenant, seq) = self.next_seq(tenant);
+        if self.ring.is_empty() {
+            self.retired.offered += 1;
+            self.retired.rejected += 1;
+            return Err(AdmissionError::BrownedOut);
         }
-        self.offer_to_shard(id, tenant, cost, now, seq)
+        let id = self.ring.route(&tenant);
+        self.send_offer(id, tenant, seq, cost, now);
+        Ok(())
     }
 
-    /// Routes one tagged chunk into shard `id`'s front door, keeping the
-    /// books exact. A [`AdmissionError::WritesRefused`] refusal fires
-    /// *before* the shard's controller can count the offer, so it is
-    /// booked at the coordinator's retired ledger instead — and not
-    /// against the shard's routed count, which must keep matching what
-    /// its journal can prove at reconciliation.
-    fn offer_to_shard(
-        &mut self,
-        id: u32,
-        tenant: &str,
-        cost: u64,
-        now: u64,
-        seq: u64,
-    ) -> Result<(), AdmissionError> {
-        let res = self.shard_mut(id).offer_tagged(tenant, cost, now, seq);
-        match &res {
-            Err(AdmissionError::WritesRefused { .. }) => {
-                self.retired.offered += 1;
-                self.retired.rejected += 1;
-            }
-            _ => *self.routed.entry(id).or_insert(0) += 1,
+    /// `tenant`'s shared name and its next chunk seq, advanced by one.
+    /// The name is allocated only on the tenant's first offer.
+    fn next_seq(&mut self, tenant: &str) -> (Arc<str>, u64) {
+        let key = (Bound::Included(tenant), Bound::Included(tenant));
+        if let Some((name, next)) = self.tenant_seq.range_mut::<str, _>(key).next() {
+            *next += 1;
+            return (Arc::clone(name), *next - 1);
         }
-        res
+        let name: Arc<str> = Arc::from(tenant);
+        self.tenant_seq.insert(Arc::clone(&name), 1);
+        (name, 0)
     }
 
-    /// Advances every live shard one tick (drain up to `capacity` chunks
-    /// each, observe, ledger on cadence). Shards with queued chunks run in
-    /// parallel on the pool's workers; idle ones step on the caller's
-    /// thread. `panics` names the shard ids whose drain worker the chaos
-    /// harness kills this tick; those panics are contained inside their
-    /// shard. Served chunks come back in shard-id-then-queue order —
-    /// deterministic for any worker count. A shard whose restart budget
-    /// dies this tick is crash-failed over before this returns.
+    /// Sends one tagged chunk to shard `id`, carrying the shard's lease
+    /// grant (see [`Link::grant`]; 0, which extends nothing, for a shard
+    /// with no link).
+    fn send_offer(&mut self, id: u32, tenant: Arc<str>, chunk_seq: u64, cost: u64, now: u64) {
+        let heard = self.net.last_heard(NodeId::Shard(id), NodeId::Coordinator);
+        let (lease_ticks, half) = (self.cfg.net.lease_ticks, self.renew_every());
+        let lease_until =
+            self.links.get_mut(&id).map_or(0, |link| link.grant(heard, now, lease_ticks, half));
+        let msg = Msg::Offer { tenant, chunk_seq, cost, lease_until };
+        self.net.send(NodeId::Coordinator, NodeId::Shard(id), msg, now);
+    }
+
+    /// Advances every live shard one tick: fails over any shard whose
+    /// lease provably expired (its replayed queue and undelivered offers
+    /// go out ahead of the pump), delivers this tick's frames, then
+    /// drains up to `capacity` chunks per shard, observes, and ledgers on
+    /// cadence.
+    /// Shards with queued chunks run in parallel on the pool's workers;
+    /// idle ones step on the caller's thread. `panics` names the shard
+    /// ids whose drain worker the chaos harness kills this tick; those
+    /// panics are contained inside their shard. Served chunks come back
+    /// in shard-id-then-queue order — deterministic for any worker count.
+    /// A shard whose restart budget dies this tick is crash-failed over
+    /// before this returns, and leases nothing renewed lately are probed.
     pub fn advance(&mut self, now: u64, capacity: usize, panics: &[u32]) -> Vec<QueuedChunk> {
-        if self.net.is_some() {
-            self.net_deliver(now);
-            self.lease_expiry_failover(now);
-        }
+        self.lease_expiry_failover(now);
+        self.net_deliver(now);
         let ticks = self.step_shards(now, capacity, panics);
         let mut served = Vec::new();
         let mut deaths = Vec::new();
@@ -486,14 +531,12 @@ impl FleetCoordinator {
                 deaths.push(shard.id());
             }
         }
-        self.track_durability(now);
+        self.observe_shards(now);
         for id in deaths {
             self.crash_failover(id, now);
         }
         self.scrub_tick(now);
-        if self.net.is_some() {
-            self.net_probe(now);
-        }
+        self.renew_leases(now);
         served
     }
 
@@ -510,16 +553,16 @@ impl FleetCoordinator {
         // Busy shards travel to the pool's long-lived workers, so the
         // closure captures only owned values: settle the injected panics
         // here. Removing back to front keeps the lower indices valid.
-        let busy: Vec<usize> =
-            (0..self.shards.len()).rev().filter(|&i| self.shards[i].queued() > 0).collect();
-        let travelling: Vec<(bool, Shard)> = busy
-            .iter()
-            .map(|&i| self.shards.remove(i))
-            .map(|shard| (panics.contains(&shard.id()), shard))
-            .collect();
-        let fanned = par_map_vec_indexed(travelling, move |_, (inject, mut shard)| {
+        let mut travelling = Vec::new();
+        for i in (0..self.shards.len()).rev() {
+            if self.shards[i].queued() > 0 {
+                let shard = self.shards.remove(i);
+                travelling.push((i, panics.contains(&shard.id()), shard));
+            }
+        }
+        let fanned = par_map_vec_indexed(travelling, move |_, (i, inject, mut shard)| {
             let tick = shard.advance(now, capacity, inject);
-            (shard, tick)
+            (i, shard, tick)
         });
         let mut ticks: Vec<ShardTick> = self
             .shards
@@ -531,109 +574,103 @@ impl FleetCoordinator {
             .collect();
         // Inserting in ascending index order puts every busy shard back
         // where it was.
-        for (i, (shard, tick)) in busy.into_iter().zip(fanned).rev() {
+        for (i, shard, tick) in fanned.into_iter().rev() {
             self.shards.insert(i, shard);
             ticks.insert(i, tick);
         }
         ticks
     }
 
-    /// Pumps the plane at `now` and applies every fresh delivery: offers
-    /// land at shard front doors, probes extend shard leases (and are
-    /// acked with a health sample), drains fence shards, and evacuations
-    /// book the retired counters and re-offer the evacuated queue.
+    /// Pumps the plane at `now` and applies every fresh delivery, in
+    /// delivery order.
     fn net_deliver(&mut self, now: u64) {
-        let mut rt = self.net.take().expect("net_deliver requires transport mode");
-        for d in rt.net.pump(now) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.net.pump(now, &mut inbox);
+        for d in inbox.drain(..) {
             match d.dst {
-                NodeId::Shard(id) => self.net_deliver_to_shard(&mut rt, id, d, now),
-                NodeId::Coordinator => self.net_deliver_to_coordinator(&mut rt, d, now),
+                NodeId::Shard(id) => self.deliver_to_shard(id, d, now),
+                NodeId::Coordinator => self.deliver_to_coordinator(d, now),
             }
         }
-        self.net = Some(rt);
+        self.inbox = inbox;
     }
 
     /// Applies one delivery addressed to shard `id` (the coordinator owns
-    /// every shard object, so it runs the shard's receive logic in place —
-    /// deterministically, in delivery order).
-    fn net_deliver_to_shard(
-        &mut self,
-        rt: &mut NetRuntime,
-        id: u32,
-        d: crate::transport::Delivery<Msg>,
-        now: u64,
-    ) {
-        let alive = self
-            .shards
-            .iter()
-            .any(|s| s.id() == id && s.state() == ShardState::Active);
-        match d.payload {
-            Msg::Offer { tenant, chunk_seq, cost } => {
-                if !alive || !self.ring.contains(id) {
-                    // Dead, fenced, or already off the ring: refuse. The
-                    // frame stays pending and the failover path re-routes
-                    // it (`take_pending_to`) — at-least-once, never lost.
-                    rt.net.refuse();
-                    return;
-                }
-                // A refusal here is the shard's front door rejecting
-                // (counted in its `rejected`, or at the coordinator for a
-                // storage refusal) — delivery still succeeded.
-                let _ = self.offer_to_shard(id, &tenant, cost, now, chunk_seq);
-                rt.net.accept(d.src, d.dst, d.seq, now);
-            }
-            Msg::Probe { lease_until } => {
-                if !alive {
-                    rt.net.refuse();
-                    return;
-                }
-                let shard = self.shard_mut(id);
-                shard.grant_lease(lease_until);
-                let health = shard.health();
-                rt.net.accept(d.src, d.dst, d.seq, now);
-                rt.net.send(NodeId::Shard(id), NodeId::Coordinator, Msg::ProbeAck { health }, now);
-            }
-            Msg::Drain => {
-                if !alive {
-                    rt.net.refuse();
-                    return;
-                }
-                let (chunks, stats) = self.shard_mut(id).fence(now);
-                rt.net.accept(d.src, d.dst, d.seq, now);
-                rt.net.send(
-                    NodeId::Shard(id),
-                    NodeId::Coordinator,
-                    Msg::Evacuated { chunks, stats },
-                    now,
-                );
-            }
-            // Shards never receive acks or evacuations; a misrouted frame
-            // is refused (and eventually discarded by failover cleanup).
-            Msg::ProbeAck { .. } | Msg::Evacuated { .. } => rt.net.refuse(),
-        }
-    }
-
-    /// Applies one delivery addressed to the coordinator.
-    fn net_deliver_to_coordinator(
-        &mut self,
-        rt: &mut NetRuntime,
-        d: crate::transport::Delivery<Msg>,
-        now: u64,
-    ) {
-        let NodeId::Shard(from) = d.src else {
-            rt.net.refuse();
+    /// every shard object, so it runs the shard's receive logic in place):
+    /// offers land at the front door, and offers and probes extend the
+    /// lease; a drain fences the shard, which ships its queue back.
+    fn deliver_to_shard(&mut self, id: u32, d: Delivery<Msg>, now: u64) {
+        let Some(shard) =
+            self.shards.iter_mut().find(|s| s.id() == id && s.state() == ShardState::Active)
+        else {
+            // Dead or fenced: refuse. The frame stays pending and the
+            // failover path re-routes it (`take_pending_to`) —
+            // at-least-once, never lost.
+            self.net.refuse();
             return;
         };
         match d.payload {
-            Msg::ProbeAck { health } => {
-                rt.net.accept(d.src, d.dst, d.seq, now);
-                if let Some(lease) = rt.leases.get_mut(&from) {
-                    lease.last_ack = lease.last_ack.max(now);
+            Msg::Offer { tenant, chunk_seq, cost, lease_until } => {
+                if !self.ring.contains(id) {
+                    // Draining: off the ring, so the offer is refused and
+                    // re-routed when the failover is booked.
+                    self.net.refuse();
+                    return;
                 }
-                rt.health_cache.insert(from, (now, health));
+                shard.grant_lease(lease_until);
+                // A front-door refusal is counted in the shard's
+                // `rejected`: delivery still succeeded. A storage refusal
+                // fires before the shard's controller can count the
+                // offer, so it is booked at the retired ledger instead,
+                // and not against the shard's routed count, which must
+                // keep matching what its journal can prove at
+                // reconciliation.
+                match shard.offer_tagged(&tenant, cost, now, chunk_seq) {
+                    Err(AdmissionError::WritesRefused { .. }) => {
+                        self.retired.offered += 1;
+                        self.retired.rejected += 1;
+                    }
+                    _ => *self.routed.entry(id).or_insert(0) += 1,
+                }
+                self.net.accept(d.src, d.dst, d.seq, now);
+            }
+            Msg::Probe { lease_until } => {
+                shard.grant_lease(lease_until);
+                self.net.accept(d.src, d.dst, d.seq, now);
+            }
+            Msg::Drain => {
+                let (chunks, stats) = shard.fence(now);
+                self.net.accept(d.src, d.dst, d.seq, now);
+                let msg = Msg::Evacuated { chunks, stats: Box::new(stats) };
+                self.net.send(NodeId::Shard(id), NodeId::Coordinator, msg, now);
+            }
+            // Shards never receive health reports or evacuations; a
+            // misrouted frame is refused (and eventually discarded by
+            // failover cleanup).
+            Msg::Health { .. } | Msg::Evacuated { .. } => self.net.refuse(),
+        }
+    }
+
+    /// Applies one delivery addressed to the coordinator. Accepting it
+    /// also counts as hearing from the sending shard.
+    fn deliver_to_coordinator(&mut self, d: Delivery<Msg>, now: u64) {
+        let NodeId::Shard(from) = d.src else {
+            self.net.refuse();
+            return;
+        };
+        match d.payload {
+            Msg::Health { health } => {
+                self.net.accept(d.src, d.dst, d.seq, now);
+                if let Some(link) = self.links.get_mut(&from) {
+                    // Keep the newest sample by link seq: a reordered
+                    // older report never replaces a newer one.
+                    if link.health.is_none_or(|(seq, _)| d.seq > seq) {
+                        link.health = Some((d.seq, *health));
+                    }
+                }
             }
             Msg::Evacuated { chunks, stats } => {
-                rt.net.accept(d.src, d.dst, d.seq, now);
+                self.net.accept(d.src, d.dst, d.seq, now);
                 // Gate on the shard's unbooked final snapshot: if a lease
                 // expiry crash-failed this shard while the evacuation was
                 // in flight, the journal already reconciled it and this
@@ -643,42 +680,26 @@ impl FleetCoordinator {
                 }
                 self.book_fenced_stats(from, &stats);
                 self.bump_fence_authority(from);
-                rt.leases.remove(&from);
-                rt.health_cache.remove(&from);
+                self.links.remove(&from);
+                self.routed.remove(&from);
                 let moved = chunks.len() as u64;
-                let mut lost = Vec::new();
+                let mut lost = 0;
                 for chunk in chunks {
-                    if self.ring.is_empty() {
-                        lost.push(chunk);
-                        continue;
-                    }
-                    let target = self.ring.route(&chunk.tenant);
-                    let msg = Msg::Offer {
-                        tenant: chunk.tenant,
-                        chunk_seq: chunk.seq,
-                        cost: chunk.cost,
-                    };
-                    rt.net.send(NodeId::Coordinator, NodeId::Shard(target), msg, now);
+                    let tenant = Arc::from(chunk.tenant);
+                    lost += u64::from(self.reoffer(tenant, chunk.seq, chunk.cost, now));
                 }
-                if !lost.is_empty() {
-                    // No live shard left to take the evacuees: booked
-                    // honestly, never silently leaked.
-                    self.retired.shed += lost.len() as u64;
-                    self.crash_loss += lost.len() as u64;
-                }
-                self.net_reroute_pending(rt, from, now);
+                self.reroute_pending(from, now);
                 self.failovers.push(FailoverEvent {
                     tick: now,
                     shard: from,
                     kind: FailoverKind::Graceful,
                     moved_chunks: moved,
-                    reoffer_rejected: 0,
-                    crash_loss: lost.len() as u64,
+                    crash_loss: lost,
                     recovered: 0,
                 });
             }
             // The coordinator never receives offers, probes, or drains.
-            Msg::Offer { .. } | Msg::Probe { .. } | Msg::Drain => rt.net.refuse(),
+            Msg::Offer { .. } | Msg::Probe { .. } | Msg::Drain => self.net.refuse(),
         }
     }
 
@@ -687,24 +708,29 @@ impl FleetCoordinator {
     /// the tenant's current home (at-least-once across failover); applied
     /// frames are already accounted by the receiver's journal, and
     /// control frames (probes, drains) die with the endpoint.
-    fn net_reroute_pending(&mut self, rt: &mut NetRuntime, id: u32, now: u64) {
-        let pending = rt.net.take_pending_to(NodeId::Shard(id));
-        for (_src, _seq, msg, applied) in pending {
-            if applied {
-                continue;
-            }
-            if let Msg::Offer { tenant, chunk_seq, cost } = msg {
-                if self.ring.is_empty() {
-                    self.retired.offered += 1;
-                    self.retired.shed += 1;
-                    self.crash_loss += 1;
-                    continue;
-                }
-                let target = self.ring.route(&tenant);
-                let msg = Msg::Offer { tenant, chunk_seq, cost };
-                rt.net.send(NodeId::Coordinator, NodeId::Shard(target), msg, now);
+    fn reroute_pending(&mut self, id: u32, now: u64) {
+        for (_src, _seq, msg, applied) in self.net.take_pending_to(NodeId::Shard(id)) {
+            let Msg::Offer { tenant, chunk_seq, cost, .. } = msg else { continue };
+            if !applied {
+                self.reoffer(tenant, chunk_seq, cost, now);
             }
         }
+    }
+
+    /// Re-offers a chunk that left a shard along its tenant's current
+    /// route. With no live shard left to take it, the chunk is booked as
+    /// offered and shed (crash loss) in the retired ledger instead:
+    /// honest, never silently leaked. Returns whether it was lost.
+    fn reoffer(&mut self, tenant: Arc<str>, seq: u64, cost: u64, now: u64) -> bool {
+        if self.ring.is_empty() {
+            self.retired.offered += 1;
+            self.retired.shed += 1;
+            self.crash_loss += 1;
+            return true;
+        }
+        let target = self.ring.route(&tenant);
+        self.send_offer(target, tenant, seq, cost, now);
+        false
     }
 
     /// Fails over every shard whose lease *provably* expired: the
@@ -713,24 +739,18 @@ impl FleetCoordinator {
     /// can hold no fresher grant — has already self-fenced. Failing over
     /// before that tick could split-brain; at it, it cannot.
     fn lease_expiry_failover(&mut self, now: u64) {
+        // One extra tick beyond the recorded grant: the grant value a
+        // shard holds was delivered a tick after it was recorded here, so
+        // the epsilon guarantees the shard's own lease check fires
+        // strictly first — even when every grant up to the horizon was
+        // delivered (one-way partitions). No split-brain without relying
+        // on intra-tick ordering.
         let expired: Vec<u32> = self
-            .net
-            .as_ref()
-            .map(|rt| {
-                // One extra tick beyond the recorded grant: the grant
-                // value a shard holds was delivered a tick after it was
-                // recorded here, so the epsilon guarantees the shard's
-                // own lease check fires strictly first — even when every
-                // grant up to the horizon was delivered (one-way
-                // partitions). No split-brain without relying on
-                // intra-tick ordering.
-                rt.leases
-                    .iter()
-                    .filter(|(_, l)| now > l.granted_until + 1)
-                    .map(|(id, _)| *id)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .links
+            .iter()
+            .filter(|(_, l)| now > l.granted_until + 1)
+            .map(|(id, _)| *id)
+            .collect();
         for id in expired {
             // The shard is unreachable or wedged; treat it as dead. Its
             // journal segment (and replica) reconcile the exact queue.
@@ -739,59 +759,44 @@ impl FleetCoordinator {
         }
     }
 
-    /// Sends this tick's heartbeat probes. A probe extends the shard's
-    /// lease to `now + lease_ticks` — but only while acks are fresh: once
-    /// `last_ack` goes stale the coordinator stops granting, the shard's
-    /// lease runs down, and both sides converge on a fence/failover with
-    /// no overlap.
-    fn net_probe(&mut self, now: u64) {
-        let mut rt = self.net.take().expect("net_probe requires transport mode");
-        let live: Vec<u32> = self
-            .shards
-            .iter()
-            .filter(|s| s.state() == ShardState::Active && self.ring.contains(s.id()))
-            .map(Shard::id)
-            .collect();
-        for id in live {
-            let Some(lease) = rt.leases.get_mut(&id) else { continue };
-            let until = if now.saturating_sub(lease.last_ack) <= rt.lease_ticks {
-                // Acks are fresh: extend the grant.
-                let until = now + rt.lease_ticks;
-                lease.granted_until = lease.granted_until.max(until);
-                until
-            } else {
-                // Acks went stale: extending now could grant a lease the
-                // coordinator is about to expire, so the probe re-states
-                // the frozen grant instead (`grant_lease` is monotonic, so
-                // this never extends anything). Probing continues so a
-                // healed partition resumes the handshake — the first ack
-                // through refreshes `last_ack` and grants resume.
-                lease.granted_until
-            };
-            rt.net.send(
-                NodeId::Coordinator,
-                NodeId::Shard(id),
-                Msg::Probe { lease_until: until },
-                now,
-            );
+    /// Probes every live shard whose lease nothing renewed for
+    /// `lease_ticks / 2` ticks. A shard receiving offers is renewed by
+    /// the grants they carry and is never probed; a quiet one costs one
+    /// probe, whose ack is the sign of life, per half lease. A shard the
+    /// coordinator stopped hearing from is probed every tick with its
+    /// frozen grant, so a healed partition resumes the handshake: the
+    /// first ack through refreshes the link and grants resume.
+    fn renew_leases(&mut self, now: u64) {
+        let (lease_ticks, half) = (self.cfg.net.lease_ticks, self.renew_every());
+        for (&id, link) in self.links.iter_mut() {
+            if link.renew_at > now || !self.ring.contains(id) {
+                continue;
+            }
+            let heard = self.net.last_heard(NodeId::Shard(id), NodeId::Coordinator);
+            let lease_until = link.grant(heard, now, lease_ticks, half);
+            self.net.send(NodeId::Coordinator, NodeId::Shard(id), Msg::Probe { lease_until }, now);
         }
-        self.net = Some(rt);
     }
 
     /// Books this tick's storage picture: per-level occupancy across live
     /// shards (the `durability_level_ticks` budget) and every gauge
     /// transition drained from the shards, re-stamped onto the tick clock
     /// and surfaced as typed [`ServiceEvent::DurabilityTransition`]s on
-    /// the coordinator's log. Runs once per `advance`, *before* death
-    /// processing, so a shard that dies this tick still reports its last
-    /// transitions.
-    fn track_durability(&mut self, now: u64) {
+    /// the coordinator's log. A live shard whose breaker state or
+    /// durability level changed this tick reports its health over the
+    /// plane. Runs once per `advance`, *before* death processing, so a
+    /// shard that dies this tick still reports its last transitions.
+    fn observe_shards(&mut self, now: u64) {
         let mut moves: Vec<(u32, DurabilityLevel, DurabilityLevel)> = Vec::new();
-        for shard in &self.shards {
+        for shard in &mut self.shards {
             if shard.state() == ShardState::Active && self.ring.contains(shard.id()) {
                 let level = shard.durability_level();
                 if let Some(idx) = DurabilityLevel::ALL.iter().position(|l| *l == level) {
                     self.durability_level_ticks[idx] += 1;
+                }
+                if let Some(health) = shard.health_change(level) {
+                    let msg = Msg::Health { health: Box::new(health) };
+                    self.net.send(NodeId::Shard(shard.id()), NodeId::Coordinator, msg, now);
                 }
             }
             for (_, from, to) in shard.take_durability_transitions() {
@@ -827,75 +832,61 @@ impl FleetCoordinator {
         self.scrub_events.extend(found);
     }
 
-    /// Scans health, advances per-shard BrownOut streaks, and fences any
-    /// shard browned out for `failover_after` consecutive scans — unless
-    /// it is the last one standing (fencing the whole fleet would turn a
-    /// brown-out into a blackout; the single shard's own breaker already
-    /// sheds load). A shard whose disk gauge sits at the bottom rung
+    /// Advances per-shard BrownOut streaks from the health the plane
+    /// delivered, and starts a graceful failover of any shard browned out
+    /// for `failover_after` consecutive scans — unless it is the last one
+    /// standing (fencing the whole fleet would turn a brown-out into a
+    /// blackout; the single shard's own breaker already sheds load). A
+    /// shard whose disk gauge sits at the bottom rung
     /// ([`DurabilityLevel::RefuseWrites`]) counts as browned out too: its
     /// storage cannot hold work honestly, so the same streak drains it to
-    /// healthier disks through the existing fencing machinery. Returns
-    /// the failovers performed.
-    pub fn react(&mut self, now: u64) -> Vec<FailoverEvent> {
-        let mut fenced = Vec::new();
-        for h in self.health_samples() {
-            if h.state != ShardState::Active || !self.ring.contains(h.id) {
+    /// healthier disks through the existing fencing machinery.
+    ///
+    /// The coordinator acts only on what the plane told it: a shard's
+    /// sample stands until a newer report replaces it, and a partitioned
+    /// shard's freezes at its last report (its *lease* is what expires,
+    /// not its health picture). A started failover completes when the
+    /// shard's evacuation is delivered, and appears in
+    /// [`FleetCoordinator::failovers`] then.
+    pub fn react(&mut self, now: u64) {
+        let mut drain = Vec::new();
+        for (&id, link) in &self.links {
+            if !self.ring.contains(id) {
                 continue;
             }
-            let streak = self.brownout_streak.entry(h.id).or_insert(0);
-            if h.fleet == FleetState::BrownOut || h.durability == DurabilityLevel::RefuseWrites {
+            let streak = self.brownout_streak.entry(id).or_insert(0);
+            let browned = link.health.is_some_and(|(_, h)| {
+                h.fleet == FleetState::BrownOut || h.durability == DurabilityLevel::RefuseWrites
+            });
+            if browned {
                 *streak += 1;
             } else {
                 *streak = 0;
             }
             if *streak >= self.cfg.failover_after && self.ring.len() > 1 {
-                fenced.push(h.id);
+                drain.push(id);
             }
         }
-        let mut events = Vec::new();
-        for id in fenced {
+        for id in drain {
             if self.ring.len() > 1 {
-                if self.net.is_some() {
-                    self.net_drain(id, now);
-                } else {
-                    events.push(self.graceful_failover(id, now));
-                }
+                self.drain_shard(id, now);
             }
         }
-        events
     }
 
-    /// The health samples `react` keys off. Direct mode reads each shard
-    /// in place; transport mode reads the probe-derived cache — the
-    /// coordinator can only act on what the plane actually delivered, so
-    /// a partitioned shard's health freezes at its last ack (its *lease*
-    /// is what expires, not its health picture).
-    fn health_samples(&self) -> Vec<ShardHealth> {
-        match &self.net {
-            None => self.shards.iter().map(Shard::health).collect(),
-            Some(rt) => self
-                .shards
-                .iter()
-                .map(|s| rt.health_cache.get(&s.id()).map_or_else(|| s.health(), |(_, h)| *h))
-                .collect(),
-        }
-    }
-
-    /// Starts a graceful failover over the plane: the shard leaves the
-    /// ring immediately (no new offers route to it) and a `Msg::Drain`
-    /// is sent; the shard fences on receipt and ships its queue back as
-    /// `Msg::Evacuated`, which books the retirement and re-offers the
+    /// Starts a graceful failover: the shard leaves the ring immediately
+    /// (no new offers route to it) and a [`Msg::Drain`] is sent; the
+    /// shard fences on receipt and ships its queue back as
+    /// [`Msg::Evacuated`], which books the retirement and re-offers the
     /// evacuees. At-least-once delivery carries both legs through loss.
-    fn net_drain(&mut self, id: u32, now: u64) {
-        self.routed.remove(&id);
+    fn drain_shard(&mut self, id: u32, now: u64) {
         self.ring.remove_shard(id);
         self.rehome_replicas();
         // The fencing authority is NOT bumped yet: the shard still has to
         // write its final ledger when the drain lands. The bump happens
         // when the evacuation is booked (or a lease expiry crash-fails
         // the shard first).
-        let rt = self.net.as_mut().expect("net_drain requires transport mode");
-        rt.net.send(NodeId::Coordinator, NodeId::Shard(id), Msg::Drain, now);
+        self.net.send(NodeId::Coordinator, NodeId::Shard(id), Msg::Drain, now);
     }
 
     /// Raises shard `id`'s fencing authority past its incarnation's
@@ -933,39 +924,6 @@ impl FleetCoordinator {
     /// Shard `id`'s replica segment path, when it has a follower.
     pub fn replica_path_of(&self, id: u32) -> Option<PathBuf> {
         self.shards.iter().find(|s| s.id() == id).and_then(Shard::replica_path)
-    }
-
-    /// Fences shard `id`, retires its final counters, removes it from the
-    /// ring, and re-offers its evacuated queue along each tenant's new
-    /// route (seq tags intact).
-    fn graceful_failover(&mut self, id: u32, now: u64) -> FailoverEvent {
-        let (evacuated, stats) = self.shard_mut(id).fence(now);
-        // Consume the shard's retained snapshot (it is being booked right
-        // here) so the live roll-up does not count it a second time.
-        let _ = self.shard_mut(id).take_final_stats();
-        self.book_fenced_stats(id, &stats);
-        self.routed.remove(&id);
-        self.ring.remove_shard(id);
-        self.rehome_replicas();
-        let moved = evacuated.len() as u64;
-        let mut reoffer_rejected = 0;
-        for chunk in evacuated {
-            let target = self.ring.route(&chunk.tenant);
-            if self.offer_to_shard(target, &chunk.tenant, chunk.cost, now, chunk.seq).is_err() {
-                reoffer_rejected += 1;
-            }
-        }
-        let event = FailoverEvent {
-            tick: now,
-            shard: id,
-            kind: FailoverKind::Graceful,
-            moved_chunks: moved,
-            reoffer_rejected,
-            crash_loss: 0,
-            recovered: 0,
-        };
-        self.failovers.push(event);
-        event
     }
 
     /// Books a fenced shard's final counters into the retired ledger,
@@ -1026,28 +984,14 @@ impl FleetCoordinator {
         let (queue, booked_loss) = self.reconcile_books(id, follower, routed, unjournaled);
         self.ring.remove_shard(id);
         self.rehome_replicas();
-        if self.net.is_some() {
-            // Fence the dead incarnation out of its journal (a resurrected
-            // stale writer gets a typed refusal, not a corrupted replay),
-            // then clear its lease and re-route its undelivered offers.
-            self.bump_fence_authority(id);
-            let mut rt = self.net.take().expect("checked above");
-            rt.leases.remove(&id);
-            rt.health_cache.remove(&id);
-            self.net_reroute_pending(&mut rt, id, now);
-            self.net = Some(rt);
-        }
-        let (recovered, reoffer_rejected, residual_loss) = self.reoffer_recovered(queue, now);
-        let event = FailoverEvent {
-            tick: now,
-            shard: id,
-            kind: FailoverKind::Crash,
-            moved_chunks: recovered,
-            reoffer_rejected,
-            crash_loss: booked_loss + residual_loss,
-            recovered,
-        };
-        self.failovers.push(event);
+        // Fence the dead incarnation out of its journal (a resurrected
+        // stale writer gets a typed refusal, not a corrupted replay), then
+        // drop its link and re-offer the replayed queue ahead of its
+        // undelivered offers, which carry later seqs.
+        self.bump_fence_authority(id);
+        self.links.remove(&id);
+        let event = self.replay(id, queue, booked_loss, now);
+        self.reroute_pending(id, now);
         event
     }
 
@@ -1123,7 +1067,8 @@ impl FleetCoordinator {
                 // (post-checkpoint refusals are then under-counted on
                 // both sides of the identity, which stays exact).
                 let offered = routed.max(admits + orphans);
-                // The rest of the gap is front-door refusals plus records
+                // The rest of the gap is front-door refusals (and, after
+                // a restart, offers that died on the plane) plus records
                 // a degraded gauge admitted but never journaled. The
                 // latter died with the shard's memory: book them as shed
                 // crash loss, not as rejections.
@@ -1175,32 +1120,36 @@ impl FleetCoordinator {
         (Vec::new(), loss)
     }
 
-    /// Re-offers a replayed queue along each tenant's new route, booking
-    /// the moves as `migrated` at the dead shard (and `recovered`
-    /// fleet-wide). With no live shard left to take them, the chunks are
-    /// booked as honest residual loss instead. Returns
-    /// `(recovered, reoffer_rejected, residual_loss)`.
-    fn reoffer_recovered(&mut self, queue: Vec<ChunkAdmit>, now: u64) -> (u64, u64, u64) {
-        if queue.is_empty() {
-            return (0, 0, 0);
-        }
-        if self.ring.is_empty() {
-            let residual = queue.len() as u64;
-            self.retired.shed += residual;
-            self.crash_loss += residual;
-            return (0, 0, residual);
-        }
+    /// Re-offers crashed shard `id`'s replayed queue along each tenant's
+    /// new route, over the plane like any offer, booking the moves as
+    /// `migrated` at the dead shard (and `recovered` fleet-wide), and
+    /// records the crash failover. With no live shard left to take them,
+    /// the chunks are booked as honest residual loss instead, on top of
+    /// the `loss` reconciliation already booked.
+    fn replay(&mut self, id: u32, queue: Vec<ChunkAdmit>, loss: u64, now: u64) -> FailoverEvent {
         let moved = queue.len() as u64;
-        self.retired.migrated += moved;
-        self.recovered += moved;
-        let mut reoffer_rejected = 0;
-        for chunk in queue {
-            let target = self.ring.route(&chunk.tenant);
-            if self.offer_to_shard(target, &chunk.tenant, chunk.cost, now, chunk.seq).is_err() {
-                reoffer_rejected += 1;
+        let lost = if self.ring.is_empty() { moved } else { 0 };
+        let recovered = moved - lost;
+        self.retired.shed += lost;
+        self.crash_loss += lost;
+        self.retired.migrated += recovered;
+        self.recovered += recovered;
+        if lost == 0 {
+            for chunk in queue {
+                let target = self.ring.route(&chunk.tenant);
+                self.send_offer(target, Arc::from(chunk.tenant), chunk.seq, chunk.cost, now);
             }
         }
-        (moved, reoffer_rejected, 0)
+        let event = FailoverEvent {
+            tick: now,
+            shard: id,
+            kind: FailoverKind::Crash,
+            moved_chunks: recovered,
+            crash_loss: loss + lost,
+            recovered,
+        };
+        self.failovers.push(event);
+        event
     }
 
     /// The aggregated health picture.
@@ -1234,20 +1183,9 @@ impl FleetCoordinator {
         &self.log
     }
 
-    /// Shard-ticks spent at each durability level, best rung first (the
-    /// same accumulation [`FleetView::durability_level_ticks`] reports).
-    pub fn durability_level_ticks(&self) -> [u64; 4] {
-        self.durability_level_ticks
-    }
-
-    /// Whether shard traffic flows through the simulated message plane.
-    pub fn net_enabled(&self) -> bool {
-        self.net.is_some()
-    }
-
-    /// The message plane's counters, when transport mode is on.
-    pub fn net_stats(&self) -> Option<NetStats> {
-        self.net.as_ref().map(|rt| rt.net.stats())
+    /// The message plane's counters.
+    pub fn net_stats(&self) -> NetStats {
+        self.net.stats()
     }
 
     /// Every internal invariant violation detected (and survived) so far.
@@ -1256,13 +1194,9 @@ impl FleetCoordinator {
     }
 
     /// Scripts a full partition between the coordinator and shard `id`:
-    /// both directions of the pair are blocked until healed. Transport
-    /// mode only (a no-op on the direct path, which has no network to
-    /// partition).
+    /// both directions of the pair are blocked until healed.
     pub fn partition_shard(&mut self, id: u32) {
-        if let Some(rt) = self.net.as_mut() {
-            rt.net.partition_pair(NodeId::Coordinator, NodeId::Shard(id));
-        }
+        self.net.partition_pair(NodeId::Coordinator, NodeId::Shard(id));
     }
 
     /// Scripts a one-way partition: when `inbound` is true the shard can
@@ -1270,24 +1204,20 @@ impl FleetCoordinator {
     /// the asymmetric case that forces self-fencing); otherwise the
     /// coordinator can no longer reach the shard.
     pub fn partition_shard_one_way(&mut self, id: u32, inbound: bool) {
-        if let Some(rt) = self.net.as_mut() {
-            if inbound {
-                rt.net.block(NodeId::Shard(id), NodeId::Coordinator);
-            } else {
-                rt.net.block(NodeId::Coordinator, NodeId::Shard(id));
-            }
+        if inbound {
+            self.net.block(NodeId::Shard(id), NodeId::Coordinator);
+        } else {
+            self.net.block(NodeId::Coordinator, NodeId::Shard(id));
         }
     }
 
     /// Heals every scripted partition.
     pub fn heal_partitions(&mut self) {
-        if let Some(rt) = self.net.as_mut() {
-            rt.net.heal_all();
-        }
+        self.net.heal_all();
     }
 
-    /// Whether shard `id` is currently self-fenced: lease-gated with an
-    /// expired lease, frozen until a fresher grant arrives.
+    /// Whether shard `id` is currently self-fenced: its lease expired, so
+    /// it serves nothing until a fresher grant arrives.
     pub fn shard_self_fenced(&self, id: u32, now: u64) -> bool {
         self.shards
             .iter()
@@ -1312,8 +1242,9 @@ impl FleetCoordinator {
     /// The fleet-wide roll-up: retired ledgers plus live counters.
     /// [`FleetStats::conserves`] holds at every tick by construction.
     pub fn stats(&self) -> FleetStats {
+        let in_flight = self.net.count_unapplied(|_, msg| matches!(msg, Msg::Offer { .. }));
         let mut s = FleetStats {
-            offered: self.retired.offered,
+            offered: self.retired.offered + in_flight,
             served: self.retired.served,
             rejected: self.retired.rejected,
             shed: self.retired.shed,
@@ -1321,6 +1252,7 @@ impl FleetCoordinator {
             migrated: self.retired.migrated,
             crash_loss: self.crash_loss,
             recovered: self.recovered,
+            in_flight,
         };
         for shard in &self.shards {
             if let Some(a) = shard.stats() {
@@ -1335,8 +1267,10 @@ impl FleetCoordinator {
         s
     }
 
-    /// Journals a coordinator checkpoint: live shard set, routed counts,
-    /// per-tenant seqs, and the retired ledger. [`FleetCoordinator::recover`]
+    /// Journals a coordinator checkpoint: the shards not yet failed over
+    /// (a draining shard included, until its evacuation is booked), their
+    /// routed counts (offers still on the plane included), per-tenant
+    /// seqs, and the retired ledger. [`FleetCoordinator::recover`]
     /// restarts from the newest one.
     ///
     /// # Errors
@@ -1345,11 +1279,17 @@ impl FleetCoordinator {
     pub fn checkpoint(&mut self, now: u64) -> Result<(), DurableError> {
         let mut enc = Enc::new();
         enc.u64(now);
-        let live = self.ring.shard_ids();
+        let live: Vec<u32> = self.links.keys().copied().collect();
         enc.u64(live.len() as u64);
         for id in &live {
+            // Offers still on the plane count as routed to their target:
+            // one the restart never delivers lands in the reconciled
+            // refusal gap instead of vanishing with the old process.
+            let dst = NodeId::Shard(*id);
+            let pending =
+                self.net.count_unapplied(|to, m| to == dst && matches!(m, Msg::Offer { .. }));
             enc.u64(u64::from(*id));
-            enc.u64(self.routed.get(id).copied().unwrap_or(0));
+            enc.u64(self.routed.get(id).copied().unwrap_or(0) + pending);
         }
         enc.u64(self.retired.offered)
             .u64(self.retired.served)
@@ -1371,9 +1311,11 @@ impl FleetCoordinator {
     /// Restarts a coordinator from `dir` after a crash: replays the
     /// newest checkpoint, reconciles every then-live shard from its
     /// journal segment as a crash (the process died — their memory is
-    /// gone), and brings up fresh shards under the same ids. The ring is
-    /// rebuilt from the same seed and shard set, so every tenant keeps
-    /// its home; per-tenant seqs resume where the checkpoint left them.
+    /// gone), and brings up fresh shards under the same ids. A drain the
+    /// crash interrupted dies with it: the draining shard is reconciled
+    /// and restarted like the others. The ring is rebuilt from the same
+    /// seed and shard set, so every tenant keeps its home; per-tenant
+    /// seqs resume where the checkpoint left them.
     ///
     /// # Errors
     ///
@@ -1419,33 +1361,22 @@ impl FleetCoordinator {
         for _ in 0..tenants_n {
             let tenant = dec.str().map_err(corrupt)?;
             let seq = dec.u64().map_err(corrupt)?;
-            tenant_seq.insert(tenant, seq);
+            tenant_seq.insert(Arc::from(tenant), seq);
         }
         dec.finish().map_err(corrupt)?;
 
         // The process died with the checkpointed shards live: reconcile
         // each from its segment, then restart it fresh under the same id.
-        let mut coord = FleetCoordinator {
-            ring: HashRing::new(cfg.seed, 0, cfg.vnodes),
-            routed: BTreeMap::new(),
-            cfg,
-            dir: dir.to_path_buf(),
-            shards: Vec::new(),
-            tenant_seq,
-            retired,
-            crash_loss,
-            recovered,
-            brownout_streak: BTreeMap::new(),
-            checkpoint: Journal::create(&ckpt_path)?,
-            ckpt_seq: 0,
-            failovers: Vec::new(),
-            scrub_events: Vec::new(),
-            internal_errors: Vec::new(),
-            net: None,
-            fence_authorities: BTreeMap::new(),
-            log: ServiceLog::new(),
-            durability_level_ticks: [0; 4],
-        };
+        // The fresh plane starts with nothing in flight: in-flight frames
+        // died with the old process, exactly like a real restart. Offers
+        // the checkpoint saw in flight count as routed to their targets,
+        // so reconciliation books any that never landed as refused.
+        let ring = HashRing::new(cfg.seed, 0, cfg.vnodes);
+        let mut coord = FleetCoordinator::bare(cfg, dir, ring, Journal::create(&ckpt_path)?);
+        coord.tenant_seq = tenant_seq;
+        coord.retired = retired;
+        coord.crash_loss = crash_loss;
+        coord.recovered = recovered;
         for (id, routed) in &live {
             coord.ring.insert_shard(*id);
             coord.routed.insert(*id, *routed);
@@ -1474,45 +1405,13 @@ impl FleetCoordinator {
             queues.push((id, queue, loss));
         }
         // Fresh shards under the same ids (truncating the reconciled
-        // segments), same seed: every tenant keeps its home.
-        coord.routed.clear();
+        // segments), same seed: every tenant keeps its home. Fresh
+        // incarnations get fresh fencing tokens and leases.
         for (id, _) in &live {
-            let follower = if coord.cfg.replicated() {
-                coord.ring.successor_shard(*id)
-            } else {
-                None
-            };
-            coord.shards.push(Shard::new(
-                *id,
-                dir,
-                coord.cfg.admission.clone(),
-                coord.cfg.restart_budget,
-                coord.cfg.ledger_every,
-                coord.cfg.replicated(),
-                follower,
-                DiskConfig {
-                    plan: coord.cfg.disk.shard_plan(coord.cfg.seed, *id),
-                    gauge: coord.cfg.disk.gauge,
-                },
-            )?);
-            coord.routed.insert(*id, 0);
+            coord.spawn_shard(*id, tick)?;
         }
-        // Fresh incarnations get fresh fencing tokens, leases, and a
-        // fresh plane (new seed stream; in-flight frames died with the
-        // old process, exactly like a real restart).
-        coord.arm_transport(tick);
         for (id, queue, booked_loss) in queues {
-            let (recovered, reoffer_rejected, residual_loss) =
-                coord.reoffer_recovered(queue, tick);
-            coord.failovers.push(FailoverEvent {
-                tick,
-                shard: id,
-                kind: FailoverKind::Crash,
-                moved_chunks: recovered,
-                reoffer_rejected,
-                crash_loss: booked_loss + residual_loss,
-                recovered,
-            });
+            coord.replay(id, queue, booked_loss, tick);
         }
         Ok(coord)
     }
@@ -1521,6 +1420,7 @@ impl FleetCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1545,6 +1445,17 @@ mod tests {
 
     fn tenants(n: usize) -> Vec<String> {
         (0..n).map(|t| format!("tenant-{t}")).collect()
+    }
+
+    /// Offers one chunk per tenant and advances at `capacity`, every tick
+    /// of `ticks`. A starved campaign's refusals are part of the deal.
+    fn feed(c: &mut FleetCoordinator, ts: &[String], ticks: Range<u64>, capacity: usize) {
+        for now in ticks {
+            for t in ts {
+                let _ = c.offer(t, 64, now);
+            }
+            c.advance(now, capacity, &[]);
+        }
     }
 
     #[test]
@@ -1577,19 +1488,14 @@ mod tests {
         let ts = tenants(24);
         let homes: BTreeMap<&String, u32> =
             ts.iter().map(|t| (t, c.ring().route(t))).collect();
-        for now in 0..100 {
-            for t in &ts {
-                // Capacity-starved on purpose (queues must be non-empty at
-                // the kill); brown-out refusals are part of the deal.
-                let _ = c.offer(t, 64, now);
-            }
-            c.advance(now, 2, &[]);
-        }
+        // Capacity-starved on purpose: queues must be non-empty at the kill.
+        feed(&mut c, &ts, 0..100, 2);
         let victim = 1;
         let event = c.kill_shard(victim, 100);
         assert_eq!(event.kind, FailoverKind::Crash);
         assert_eq!(event.crash_loss, 0, "a clean journal replays the queue: {event:?}");
         assert!(event.recovered > 0, "the starved queue must replay: {event:?}");
+        assert_eq!(c.stats().in_flight, event.recovered, "the replay rides the plane");
         assert!(c.stats().conserves(), "{:?}", c.stats());
         // Bounded movement: only the victim's tenants re-home.
         for t in &ts {
@@ -1601,12 +1507,7 @@ mod tests {
             }
         }
         // The fleet keeps serving; the identity keeps holding.
-        for now in 101..200 {
-            for t in &ts {
-                let _ = c.offer(t, 64, now);
-            }
-            c.advance(now, usize::MAX, &[]);
-        }
+        feed(&mut c, &ts, 101..200, usize::MAX);
         let s = c.stats();
         assert!(s.conserves(), "{s:?}");
         assert_eq!(s.crash_loss, 0, "replicated failover is lossless: {s:?}");
@@ -1621,12 +1522,7 @@ mod tests {
         cfg.replicas = 0;
         let mut c = FleetCoordinator::new(cfg, &dir).unwrap();
         let ts = tenants(24);
-        for now in 0..100 {
-            for t in &ts {
-                let _ = c.offer(t, 64, now);
-            }
-            c.advance(now, 2, &[]);
-        }
+        feed(&mut c, &ts, 0..100, 2);
         let event = c.kill_shard(1, 100);
         assert_eq!(event.recovered, 0, "{event:?}");
         assert!(event.crash_loss > 0, "a kill with queued work must book loss: {event:?}");
@@ -1641,12 +1537,7 @@ mod tests {
         let dir = scratch("diskloss");
         let mut c = FleetCoordinator::new(small(4), &dir).unwrap();
         let ts = tenants(24);
-        for now in 0..100 {
-            for t in &ts {
-                let _ = c.offer(t, 64, now);
-            }
-            c.advance(now, 2, &[]);
-        }
+        feed(&mut c, &ts, 0..100, 2);
         // Machine loss: primary journal destroyed; only the replica on
         // the follower's node reconciles — still zero loss.
         let event = c.kill_shard_with_disk_loss(1, 100);
@@ -1768,7 +1659,8 @@ mod tests {
                 let _ = c.offer(&flooder, 64, now);
             }
             c.advance(now, 0, &[]);
-            let events = c.react(now);
+            c.react(now);
+            let events = c.failovers();
             if !events.is_empty() {
                 assert_eq!(events[0].kind, FailoverKind::Graceful);
                 assert_eq!(events[0].shard, 0);
@@ -1782,6 +1674,77 @@ mod tests {
         assert!(s.conserves(), "{s:?}");
         assert_eq!(s.crash_loss, 0, "graceful failover loses nothing");
         assert!(s.migrated > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two shards with a small memory budget, so a flood browns one out.
+    fn floodable() -> FleetConfig {
+        let mut cfg = small(2);
+        cfg.admission.mem_budget = 4096;
+        cfg
+    }
+
+    /// Floods shard 0 of a [`floodable`] fleet, serving nothing, until
+    /// `react` starts draining it; returns the fleet and the next tick.
+    fn draining_fleet(dir: &Path) -> (FleetCoordinator, u64) {
+        let mut c = FleetCoordinator::new(floodable(), dir).unwrap();
+        let flooder =
+            (0..64).map(|t| format!("tenant-{t}")).find(|t| c.ring().route(t) == 0).unwrap();
+        let mut now = 0;
+        while c.ring().contains(0) {
+            assert!(now < 400, "the flood never browned shard 0 out");
+            feed(&mut c, &vec![flooder.clone(); 8], now..now + 1, 0);
+            c.react(now);
+            now += 1;
+        }
+        (c, now)
+    }
+
+    #[test]
+    fn a_checkpoint_during_a_drain_reconciles_the_draining_shard() {
+        let dir = scratch("ckpt-drain");
+        let (mut c, now) = draining_fleet(&dir);
+        let before = c.stats();
+        assert!(before.queued > 0, "{before:?}");
+        c.checkpoint(now).unwrap();
+        drop(c);
+        // The drain dies with the coordinator; the shard's journal still
+        // accounts for everything it took, and its queue replays.
+        let c = FleetCoordinator::recover(floodable(), &dir).unwrap();
+        let s = c.stats();
+        assert!(s.conserves(), "{s:?}");
+        assert_eq!(s.crash_loss, 0, "{s:?}");
+        assert_eq!((s.offered - s.recovered, s.recovered), (before.offered, before.queued));
+        assert_eq!(c.view().live, 2, "the drained shard restarts: {s:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_evacuation_landing_on_an_empty_ring_is_booked_as_loss() {
+        let dir = scratch("evac-empty");
+        let (mut c, now) = draining_fleet(&dir);
+        // The drain is in flight when the last other shard dies.
+        c.kill_shard(1, now);
+        feed(&mut c, &[], now..now + 3, 0);
+        let event = c.failovers().iter().find(|f| f.kind == FailoverKind::Graceful).copied();
+        let event = event.expect("the evacuation must land");
+        assert!(event.moved_chunks > 0, "{event:?}");
+        assert_eq!(event.crash_loss, event.moved_chunks, "{event:?}");
+        assert!(c.stats().conserves(), "{:?}", c.stats());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_offer_with_no_live_shard_is_refused_and_booked() {
+        let dir = scratch("empty-ring");
+        let mut c = FleetCoordinator::new(small(2), &dir).unwrap();
+        c.kill_shard(0, 0);
+        c.kill_shard(1, 0);
+        assert_eq!(c.offer("tenant-0", 64, 1), Err(AdmissionError::BrownedOut));
+        c.advance(1, 8, &[]);
+        let s = c.stats();
+        assert!(s.conserves(), "{s:?}");
+        assert_eq!((s.offered, s.rejected), (1, 1), "{s:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1826,12 +1789,34 @@ mod tests {
         );
         // Seqs resume from the checkpoint: monotone, never reused from 0.
         for t in &ts {
-            let recovered = c.tenant_seq.get(t).copied().unwrap_or(0);
+            let recovered = c.tenant_seq.get(t.as_str()).copied().unwrap_or(0);
             assert!(recovered >= 40, "{t} seq rewound to {recovered}");
-            assert!(recovered <= seqs[t]);
+            assert!(recovered <= seqs[t.as_str()]);
         }
         assert_eq!(c.view().live, 3, "all shards restart fresh");
         assert!(c.stats().conserves());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn offers_in_flight_at_a_checkpoint_are_booked_after_a_restart() {
+        let dir = scratch("restart-in-flight");
+        let ts = tenants(8);
+        let mut c = FleetCoordinator::new(small(2), &dir).unwrap();
+        feed(&mut c, &ts, 0..5, usize::MAX);
+        // Three more go out, and the coordinator dies before a tick
+        // delivers them.
+        for t in &ts[..3] {
+            c.offer(t, 64, 5).unwrap();
+        }
+        let s = c.stats();
+        assert_eq!((s.offered, s.in_flight), (43, 3), "{s:?}");
+        assert!(s.conserves(), "{s:?}");
+        c.checkpoint(5).unwrap();
+        drop(c);
+        let s = FleetCoordinator::recover(small(2), &dir).unwrap().stats();
+        assert!(s.conserves(), "{s:?}");
+        assert_eq!((s.offered, s.served, s.rejected, s.in_flight), (43, 40, 3, 0), "{s:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1891,7 +1876,8 @@ mod tests {
                 let _ = c.offer(t, 64, now);
             }
             c.advance(now, 2, &[]);
-            if !c.react(now).is_empty() {
+            c.react(now);
+            if !c.failovers().is_empty() {
                 fenced = true;
             }
             assert!(c.stats().conserves(), "tick {now}: {:?}", c.stats());

@@ -13,11 +13,11 @@
 //! |---|---|---|
 //! | [`HashRing`] | seeded consistent hashing; only a dead shard's tenants move | [`ring`] |
 //! | [`Shard`] | controller + journal segment + panic firewall | [`shard`] |
-//! | [`FleetCoordinator`] | routing, parallel advance, health, failover, conservation | [`coordinator`] |
+//! | [`FleetCoordinator`] | routing, leases, health, failover, conservation | [`coordinator`] |
 //! | [`FleetService`] | real sessions per shard, brown-out spill-over | [`service`] |
 //! | [`LoadProfile`] | deterministic diurnal/bursty load for the perf baseline | [`loadgen`] |
-//! | [`FleetConfig`] | `EMOLEAK_SHARDS` / `EMOLEAK_FLEET_SEED` tuning | [`config`] |
-//! | [`SimNet`] | simulated message plane: faults, at-least-once, dedup | [`transport`] |
+//! | [`FleetConfig`] | `EMOLEAK_SHARDS`, `EMOLEAK_FLEET_SEED`, `EMOLEAK_NET*` tuning | [`config`] |
+//! | [`SimNet`] | the one coordinator↔shard path: faults, at-least-once, dedup | [`transport`] |
 //!
 //! Two invariants carry the whole design:
 //!
@@ -26,8 +26,10 @@
 //!    chunks re-enter through another shard's front door (counting in its
 //!    `offered`), so the fleet-wide roll-up satisfies the same identity by
 //!    construction — through graceful fencing, crash reconciliation, and
-//!    coordinator restart alike. Crash losses are *booked* (as shed,
-//!    surfaced as [`FleetStats::crash_loss`]), never silently leaked.
+//!    coordinator restart alike. Fleet-wide, offers still on the message
+//!    plane are the one extra term ([`FleetStats::in_flight`]). Crash
+//!    losses are *booked* (as shed, surfaced as
+//!    [`FleetStats::crash_loss`]), never silently leaked.
 //! 2. **Determinism.** Ring placement, per-tenant chunk seqs, shard
 //!    advance order, and the load generator are all pure functions of
 //!    seeds and logical ticks. Clean-path output is byte-identical across

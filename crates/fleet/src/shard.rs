@@ -20,7 +20,6 @@ use emoleak_admission::{AdmissionConfig, AdmissionController, AdmissionStats, Qu
 use emoleak_core::admission::{AdmissionError, DurabilityLevel, FleetState};
 use emoleak_durable::{Defect, DurableError, FaultVfs, OsVfs, Vfs};
 use emoleak_stream::durable::{DurableSink, LedgerRecord};
-use emoleak_stream::log::ServiceLog;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
@@ -85,7 +84,9 @@ pub struct ShardTick {
 pub struct Shard {
     id: u32,
     state: ShardState,
-    ctrl: Option<AdmissionController>,
+    /// Boxed, so a tick that hands the shard to a worker moves a small
+    /// struct.
+    ctrl: Option<Box<AdmissionController>>,
     sink: DurableSink,
     dir: PathBuf,
     journal_path: PathBuf,
@@ -95,15 +96,16 @@ pub struct Shard {
     ledger_every: u64,
     next_ledger: u64,
     /// Final counters snapshotted at [`Shard::fence`], held until the
-    /// coordinator books them into its retired ledger (in transport mode
-    /// the booking rides an `Evacuated` message and may arrive ticks
-    /// later; until then the roll-up still sees these numbers).
+    /// coordinator books them into its retired ledger (the booking rides
+    /// an `Evacuated` message and may arrive ticks later; until then the
+    /// roll-up still sees these numbers).
     final_stats: Option<AdmissionStats>,
-    /// Whether the shard's liveness is lease-gated (transport mode). An
-    /// ungated shard serves unconditionally (the direct-call path).
-    lease_gated: bool,
     /// The tick up to which the shard holds the serving lease.
     lease_until: u64,
+    /// The breaker state and durability level the last health report
+    /// carried (a fresh shard is Healthy and Durable, which the
+    /// coordinator assumes without a report).
+    reported: (FleetState, DurabilityLevel),
 }
 
 impl core::fmt::Debug for Shard {
@@ -144,6 +146,10 @@ impl Shard {
     /// durability-gauge tuning. An unarmed plan puts the shard on the real
     /// filesystem with no gauge — byte-identical to the pre-nemesis path.
     ///
+    /// Every shard is lease-gated: it serves through `lease_until` and,
+    /// past it, only while a fresher grant ([`Shard::grant_lease`]) has
+    /// arrived.
+    ///
     /// # Errors
     ///
     /// [`emoleak_durable::DurableError`] when a segment cannot be created.
@@ -157,6 +163,7 @@ impl Shard {
         journal_chunks: bool,
         follower: Option<u32>,
         disk: DiskConfig,
+        lease_until: u64,
     ) -> Result<Shard, emoleak_durable::DurableError> {
         let journal_path = shard_journal_path(dir, id);
         let (vfs, gauge): (Arc<dyn Vfs>, _) = match disk.plan {
@@ -179,7 +186,7 @@ impl Shard {
         Ok(Shard {
             id,
             state: ShardState::Active,
-            ctrl: Some(ctrl),
+            ctrl: Some(Box::new(ctrl)),
             sink,
             dir: dir.to_path_buf(),
             journal_path,
@@ -189,8 +196,8 @@ impl Shard {
             ledger_every,
             next_ledger: ledger_every,
             final_stats: None,
-            lease_gated: false,
-            lease_until: 0,
+            lease_until,
+            reported: (FleetState::Healthy, DurabilityLevel::Durable),
         })
     }
 
@@ -265,25 +272,16 @@ impl Shard {
         self.sink.fence_token()
     }
 
-    /// Turns on lease gating with an initial grant through `until`.
-    /// From here on the shard only drains and emits while `now` is within
-    /// the granted lease; past it, [`Shard::advance`] freezes until a
-    /// fresher grant arrives (self-fencing: the split-brain half).
-    pub fn enable_lease(&mut self, until: u64) {
-        self.lease_gated = true;
-        self.lease_until = until;
-    }
-
     /// Extends the lease to `until` (monotonic: a late-arriving older
     /// grant never shortens it).
     pub fn grant_lease(&mut self, until: u64) {
         self.lease_until = self.lease_until.max(until);
     }
 
-    /// Whether the shard is lease-gated and its lease has expired at
-    /// `now` — i.e. it is currently self-fenced and will not serve.
+    /// Whether the lease has expired at `now` — i.e. the shard is
+    /// currently self-fenced and will not serve.
     pub fn lease_expired(&self, now: u64) -> bool {
-        self.lease_gated && now > self.lease_until
+        now > self.lease_until
     }
 
     /// Attempts one journal append as this shard's (possibly stale)
@@ -386,10 +384,23 @@ impl Shard {
         }
     }
 
+    /// The health sample to report when the breaker state or `durability`
+    /// (the shard's current level, which the caller has read) differs
+    /// from the last report; `None` for a steady or retired shard, so a
+    /// steady shard reports nothing.
+    pub(crate) fn health_change(&mut self, durability: DurabilityLevel) -> Option<ShardHealth> {
+        let now = (self.ctrl.as_ref()?.fleet_state(), durability);
+        if now == self.reported {
+            return None;
+        }
+        self.reported = now;
+        Some(self.health())
+    }
+
     /// Chunks waiting in the shard's ingest queue; zero for a retired
     /// shard.
     pub(crate) fn queued(&self) -> usize {
-        self.ctrl.as_ref().map_or(0, AdmissionController::queue_depth)
+        self.ctrl.as_deref().map_or(0, AdmissionController::queue_depth)
     }
 
     /// One health sample for the coordinator's fleet view.
@@ -442,18 +453,13 @@ impl Shard {
     /// fleet-wide roll-up conserves across the in-flight window. `None`
     /// once retired *and* booked (or dead).
     pub fn stats(&self) -> Option<AdmissionStats> {
-        self.ctrl.as_ref().map(AdmissionController::stats).or(self.final_stats)
+        self.ctrl.as_deref().map(AdmissionController::stats).or(self.final_stats)
     }
 
     /// Consumes the fenced shard's final counters (the coordinator calls
     /// this exactly once, when it books them into its retired ledger).
     pub fn take_final_stats(&mut self) -> Option<AdmissionStats> {
         self.final_stats.take()
-    }
-
-    /// The shard's event log, or `None` for a retired shard.
-    pub fn log(&self) -> Option<&ServiceLog> {
-        self.ctrl.as_ref().map(AdmissionController::log)
     }
 
     /// Gracefully retires the shard: evacuates its queue (each chunk
@@ -527,8 +533,8 @@ mod tests {
     }
 
     fn shard(dir: &Path) -> Shard {
-        Shard::new(0, dir, AdmissionConfig::default(), 2, 10, false, None, DiskConfig::default())
-            .unwrap()
+        let disk = DiskConfig::default();
+        Shard::new(0, dir, AdmissionConfig::default(), 2, 10, false, None, disk, u64::MAX).unwrap()
     }
 
     #[test]
@@ -591,6 +597,7 @@ mod tests {
             true,
             Some(1),
             DiskConfig::default(),
+            u64::MAX,
         )
         .unwrap();
         for now in 0..12 {
@@ -640,7 +647,8 @@ mod tests {
             },
         };
         let mut s =
-            Shard::new(0, &dir, AdmissionConfig::default(), 2, 10, false, None, disk).unwrap();
+            Shard::new(0, &dir, AdmissionConfig::default(), 2, 10, false, None, disk, u64::MAX)
+                .unwrap();
         assert_eq!(s.durability_level(), DurabilityLevel::Durable);
         for now in 0..=10 {
             let _ = s.offer_tagged("a", 64, now, now);

@@ -1,13 +1,12 @@
 //! A deterministic simulated message plane for coordinator↔shard traffic.
 //!
-//! PR 6's fleet assumed the coordinator could always reach every shard:
-//! offers, health scans, and evacuations were direct in-process calls
-//! that could never be lost, delayed, or reordered. Real deployments run
-//! shards across cores and hosts, where the *network* is the dominant
-//! fault domain. [`SimNet`] is that network, simulated: every frame is
-//! subject to a seeded [`NetProfile`] fault model — drop, duplicate,
-//! delay, reorder — plus scripted one-way and full partitions, in the
-//! spirit of `phone::FaultProfile`'s sensor nemesis.
+//! The plane is the coordinator's only path to its shards: offers,
+//! lease grants, health reports, drains and evacuations are all frames on
+//! it. Real deployments run shards across cores and hosts, where the
+//! *network* is the dominant fault domain, so every frame is subject to a
+//! seeded [`NetProfile`] fault model — drop, duplicate, delay, reorder —
+//! plus scripted one-way and full partitions, in the spirit of
+//! `phone::FaultProfile`'s sensor nemesis.
 //!
 //! # At-least-once delivery
 //!
@@ -16,7 +15,7 @@
 //!
 //! - **Per-sender sequence numbers.** Every directed link `(src, dst)`
 //!   numbers its frames; the sender keeps each unacked frame in an
-//!   outbox and retransmits it every [`SimNet::rto`] ticks until an ack
+//!   outbox and retransmits it every `rto` ticks until an ack
 //!   arrives (acks ride the reverse link and suffer the same faults).
 //! - **Idempotent dedup window at the receiver.** The receiver remembers
 //!   the last `dedup_window` sequence numbers per link; a retransmitted
@@ -30,7 +29,9 @@
 //! the dedup window, schedules the ack, and marks the outbox entry
 //! applied — or [`SimNet::refuse`] for a frame that reached a dead or
 //! retired endpoint (no ack: the sender keeps retransmitting until a
-//! failover re-routes or discards the pending frame).
+//! failover re-routes or discards the pending frame). Every ack and
+//! every accepted frame is a sign of life from its sender, which
+//! the coordinator's leases key off (`SimNet::last_heard`).
 //!
 //! # Determinism
 //!
@@ -43,13 +44,14 @@
 //!
 //! Under [`NetProfile::ideal`] — zero loss, zero delay, no duplication,
 //! no reorder — a frame sent at tick `t` is delivered at tick `t` in
-//! send order, so a fleet routed through the ideal plane produces the
-//! same served stream, byte for byte, as the direct in-process path.
+//! send order, and an offer or probe allocates nothing once the plane's
+//! buffers have grown.
 
 use crate::shard::ShardHealth;
 use emoleak_admission::{AdmissionStats, QueuedChunk};
 use emoleak_exec::{derive_seed, splitmix64};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A network endpoint address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,9 +92,8 @@ pub struct NetProfile {
 }
 
 impl NetProfile {
-    /// The perfect network: zero loss, zero delay, in-order. A fleet
-    /// routed through this plane is byte-identical to the direct
-    /// in-process path.
+    /// The perfect network: zero loss, zero delay, in-order. Every frame
+    /// lands the tick it was sent, in send order.
     pub fn ideal() -> NetProfile {
         NetProfile { drop_ppm: 0, dup_ppm: 0, reorder_ppm: 0, delay_max: 0, delay_ppm: 0 }
     }
@@ -126,11 +127,8 @@ impl NetProfile {
 /// The named profile presets the `EMOLEAK_NET` knob selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetProfileKind {
-    /// Transport off: the coordinator talks to shards by direct
-    /// in-process calls (the PR 6 path, byte-for-byte).
+    /// [`NetProfile::ideal`]: faultless.
     #[default]
-    Off,
-    /// [`NetProfile::ideal`]: traffic flows through the plane, faultless.
     Ideal,
     /// [`NetProfile::lossy`].
     Lossy,
@@ -139,23 +137,12 @@ pub enum NetProfileKind {
 }
 
 impl NetProfileKind {
-    /// The profile this preset names; `None` for [`NetProfileKind::Off`].
-    pub fn profile(self) -> Option<NetProfile> {
+    /// The profile this preset names.
+    pub fn profile(self) -> NetProfile {
         match self {
-            NetProfileKind::Off => None,
-            NetProfileKind::Ideal => Some(NetProfile::ideal()),
-            NetProfileKind::Lossy => Some(NetProfile::lossy()),
-            NetProfileKind::Chaotic => Some(NetProfile::chaotic()),
-        }
-    }
-
-    /// The knob spelling of this preset.
-    pub fn name(self) -> &'static str {
-        match self {
-            NetProfileKind::Off => "off",
-            NetProfileKind::Ideal => "ideal",
-            NetProfileKind::Lossy => "lossy",
-            NetProfileKind::Chaotic => "chaotic",
+            NetProfileKind::Ideal => NetProfile::ideal(),
+            NetProfileKind::Lossy => NetProfile::lossy(),
+            NetProfileKind::Chaotic => NetProfile::chaotic(),
         }
     }
 }
@@ -165,7 +152,6 @@ impl core::str::FromStr for NetProfileKind {
 
     fn from_str(s: &str) -> Result<NetProfileKind, ()> {
         match s {
-            "off" => Ok(NetProfileKind::Off),
             "ideal" => Ok(NetProfileKind::Ideal),
             "lossy" => Ok(NetProfileKind::Lossy),
             "chaotic" => Ok(NetProfileKind::Chaotic),
@@ -175,30 +161,37 @@ impl core::str::FromStr for NetProfileKind {
 }
 
 /// Coordinator↔shard traffic: everything the fleet says over the plane.
+/// The rare frames box their payloads, so the offers and probes that
+/// make up the traffic stay small to copy.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Coordinator → shard: one seq-tagged chunk offer.
+    /// Coordinator → shard: one seq-tagged chunk offer, carrying a lease
+    /// grant so a shard that receives work needs no separate probe.
     Offer {
-        /// The owning tenant.
-        tenant: String,
+        /// The owning tenant, shared with the coordinator's seq table so
+        /// an offer copies no string.
+        tenant: Arc<str>,
         /// The coordinator-assigned per-tenant chunk seq.
         chunk_seq: u64,
         /// The chunk's admission cost.
         cost: u64,
+        /// The tick up to which the shard holds the serving lease.
+        lease_until: u64,
     },
-    /// Coordinator → shard: a heartbeat probe carrying the lease grant.
-    /// The shard may serve while `now <= lease_until`; past that it must
-    /// self-fence (stop draining and emitting) until a fresher grant
-    /// arrives.
+    /// Coordinator → shard: a lease renewal for a shard no other frame
+    /// renewed. The shard may serve while `now <= lease_until`; past that
+    /// it must self-fence (stop draining and emitting) until a fresher
+    /// grant arrives. Its ack is the shard's sign of life.
     Probe {
         /// The tick up to which the shard holds the serving lease.
         lease_until: u64,
     },
-    /// Shard → coordinator: the probe's acknowledgement, carrying the
-    /// shard's health sample at delivery time.
-    ProbeAck {
+    /// Shard → coordinator: a health sample, sent only when what the
+    /// coordinator reacts to — breaker state or durability level —
+    /// changed.
+    Health {
         /// The sampled health.
-        health: ShardHealth,
+        health: Box<ShardHealth>,
     },
     /// Coordinator → shard: drain and fence yourself (graceful failover).
     Drain,
@@ -209,7 +202,7 @@ pub enum Msg {
         /// The evacuated chunks, ready to re-offer elsewhere.
         chunks: Vec<QueuedChunk>,
         /// The shard's final admission counters.
-        stats: AdmissionStats,
+        stats: Box<AdmissionStats>,
     },
 }
 
@@ -227,8 +220,7 @@ pub struct Delivery<P> {
     pub payload: P,
 }
 
-/// Plane-wide counters, for chaos reports and the bench's overhead
-/// column.
+/// Plane-wide counters, for chaos reports and the lease-upkeep bound.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages handed to [`SimNet::send`].
@@ -303,6 +295,14 @@ impl DedupWindow {
         if seq < self.watermark {
             return;
         }
+        if seq == self.watermark {
+            // In order, the common case: no set entry to make.
+            self.watermark += 1;
+            while self.seen.remove(&self.watermark) {
+                self.watermark += 1;
+            }
+            return;
+        }
         self.seen.insert(seq);
         // Advance the watermark over the contiguous prefix.
         while self.seen.remove(&self.watermark) {
@@ -321,6 +321,18 @@ impl DedupWindow {
     }
 }
 
+/// A directed link `src → dst`, packed into one integer so the per-link
+/// maps compare keys in a single step.
+type Link = u128;
+
+fn link(src: NodeId, dst: NodeId) -> Link {
+    let code = |n: NodeId| match n {
+        NodeId::Coordinator => 0,
+        NodeId::Shard(id) => u128::from(id) + 1,
+    };
+    code(src) << 64 | code(dst)
+}
+
 /// The simulated message plane. Generic over the payload so the fault
 /// machinery is testable with plain values; the fleet instantiates
 /// `SimNet<Msg>`.
@@ -332,11 +344,19 @@ pub struct SimNet<P> {
     rto: u64,
     dedup_window: usize,
     wires: Vec<Wire<P>>,
+    /// The frames one pump delivers; kept between pumps for its buffer.
+    due: Vec<Wire<P>>,
+    /// The `(src, dst, seq)` of the frames one pump surfaced, so a twin
+    /// landing the same tick is dropped; kept for its buffer.
+    batch: Vec<(NodeId, NodeId, u64)>,
     acks: Vec<AckWire>,
     outbox: Vec<Pending<P>>,
-    send_seq: BTreeMap<(NodeId, NodeId), u64>,
-    dedup: BTreeMap<(NodeId, NodeId), DedupWindow>,
-    blocked: BTreeSet<(NodeId, NodeId)>,
+    send_seq: BTreeMap<Link, u64>,
+    dedup: BTreeMap<Link, DedupWindow>,
+    /// The tick `dst` last heard from `src` on the `(src, dst)` link: an
+    /// ack arriving, or a frame accepted.
+    heard: BTreeMap<Link, u64>,
+    blocked: BTreeSet<Link>,
     stats: NetStats,
 }
 
@@ -352,10 +372,13 @@ impl<P: Clone> SimNet<P> {
             rto: rto.max(1),
             dedup_window: dedup_window.max(1),
             wires: Vec::new(),
+            due: Vec::new(),
+            batch: Vec::new(),
             acks: Vec::new(),
             outbox: Vec::new(),
             send_seq: BTreeMap::new(),
             dedup: BTreeMap::new(),
+            heard: BTreeMap::new(),
             blocked: BTreeSet::new(),
             stats: NetStats::default(),
         }
@@ -366,20 +389,10 @@ impl<P: Clone> SimNet<P> {
         self.stats
     }
 
-    /// The retransmission timeout, ticks.
-    pub fn rto(&self) -> u64 {
-        self.rto
-    }
-
     /// Blocks the directed link `from → to` (frames transmitted while
     /// blocked are lost; the reverse direction is untouched).
     pub fn block(&mut self, from: NodeId, to: NodeId) {
-        self.blocked.insert((from, to));
-    }
-
-    /// Unblocks the directed link `from → to`.
-    pub fn heal(&mut self, from: NodeId, to: NodeId) {
-        self.blocked.remove(&(from, to));
+        self.blocked.insert(link(from, to));
     }
 
     /// Blocks both directions between `a` and `b` (a full partition of
@@ -389,20 +402,9 @@ impl<P: Clone> SimNet<P> {
         self.block(b, a);
     }
 
-    /// Heals both directions between `a` and `b`.
-    pub fn heal_pair(&mut self, a: NodeId, b: NodeId) {
-        self.heal(a, b);
-        self.heal(b, a);
-    }
-
     /// Heals every scripted partition.
     pub fn heal_all(&mut self) {
         self.blocked.clear();
-    }
-
-    /// Whether the directed link `from → to` is currently blocked.
-    pub fn is_blocked(&self, from: NodeId, to: NodeId) -> bool {
-        self.blocked.contains(&(from, to))
     }
 
     fn draw(&mut self) -> u64 {
@@ -415,8 +417,8 @@ impl<P: Clone> SimNet<P> {
 
     /// One physical transmission attempt of a frame (first send or
     /// retransmit): partition check, then the stochastic faults.
-    fn transmit(&mut self, src: NodeId, dst: NodeId, seq: u64, payload: &P, now: u64) {
-        if self.is_blocked(src, dst) {
+    fn transmit(&mut self, src: NodeId, dst: NodeId, seq: u64, payload: P, now: u64) {
+        if self.blocked.contains(&link(src, dst)) {
             self.stats.partitioned += 1;
             return;
         }
@@ -424,40 +426,34 @@ impl<P: Clone> SimNet<P> {
             self.stats.dropped += 1;
             return;
         }
-        let copies = if self.chance(self.profile.dup_ppm) {
+        if self.chance(self.profile.dup_ppm) {
             self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let extra = if self.profile.delay_max > 0 && self.chance(self.profile.delay_ppm) {
-                1 + self.draw() % self.profile.delay_max
-            } else {
-                0
-            };
-            let mut order = self.order;
-            self.order += 1;
-            if self.chance(self.profile.reorder_ppm) {
-                // Perturb the relative order within the delivery tick:
-                // jump the frame ahead of up to 16 later sends.
-                order += 1 + self.draw() % 16;
-            }
-            self.wires.push(Wire {
-                deliver_at: now + extra,
-                order,
-                src,
-                dst,
-                seq,
-                payload: payload.clone(),
-            });
+            self.put_on_wire(src, dst, seq, payload.clone(), now);
         }
+        self.put_on_wire(src, dst, seq, payload, now);
+    }
+
+    /// Queues one in-flight copy, with its seeded delay and reorder.
+    fn put_on_wire(&mut self, src: NodeId, dst: NodeId, seq: u64, payload: P, now: u64) {
+        let extra = if self.profile.delay_max > 0 && self.chance(self.profile.delay_ppm) {
+            1 + self.draw() % self.profile.delay_max
+        } else {
+            0
+        };
+        let mut order = self.order;
+        self.order += 1;
+        if self.chance(self.profile.reorder_ppm) {
+            // Perturb the relative order within the delivery tick:
+            // jump the frame ahead of up to 16 later sends.
+            order += 1 + self.draw() % 16;
+        }
+        self.wires.push(Wire { deliver_at: now + extra, order, src, dst, seq, payload });
     }
 
     fn transmit_ack(&mut self, src: NodeId, dst: NodeId, seq: u64, now: u64) {
         // Acks ride the reverse link and suffer the same partition and
         // drop faults; a lost ack just means one more retransmission.
-        if self.is_blocked(src, dst) {
+        if self.blocked.contains(&link(src, dst)) {
             self.stats.partitioned += 1;
             return;
         }
@@ -479,72 +475,66 @@ impl<P: Clone> SimNet<P> {
     /// transmission. Returns the assigned seq.
     pub fn send(&mut self, src: NodeId, dst: NodeId, payload: P, now: u64) -> u64 {
         let seq = {
-            let s = self.send_seq.entry((src, dst)).or_insert(0);
+            let s = self.send_seq.entry(link(src, dst)).or_insert(0);
             let seq = *s;
             *s += 1;
             seq
         };
         self.stats.sent += 1;
-        self.transmit(src, dst, seq, &payload, now);
+        self.transmit(src, dst, seq, payload.clone(), now);
         self.outbox.push(Pending { src, dst, seq, payload, last_sent: now, applied: false });
         seq
     }
 
-    /// One plane tick: retransmits overdue outbox frames, applies due
-    /// acks, and returns the fresh data frames due for delivery, in
-    /// deterministic `(deliver_at, order)` order with duplicates already
-    /// filtered (and re-acked). The caller must [`SimNet::accept`] or
-    /// [`SimNet::refuse`] each returned frame.
-    pub fn pump(&mut self, now: u64) -> Vec<Delivery<P>> {
+    /// One plane tick: applies due acks, retransmits overdue outbox
+    /// frames, and appends the fresh data frames due for delivery to
+    /// `out`, in deterministic `(deliver_at, order)` order with
+    /// duplicates already filtered (and re-acked). The caller must
+    /// [`SimNet::accept`] or [`SimNet::refuse`] each surfaced frame.
+    pub fn pump(&mut self, now: u64, out: &mut Vec<Delivery<P>>) {
         // 1. Apply due acks first: an ack that has already arrived must
-        //    cancel the retransmission it races, or every clean
-        //    probe/ack round-trip would spuriously retransmit once the
-        //    RTO elapses in the same pump.
-        let due_acks: Vec<AckWire> = {
-            let (due, rest): (Vec<AckWire>, Vec<AckWire>) =
-                self.acks.drain(..).partition(|a| a.deliver_at <= now);
-            self.acks = rest;
-            due
-        };
-        for ack in due_acks {
+        //    cancel the retransmission it races, or every clean round
+        //    trip would spuriously retransmit once the RTO elapses in the
+        //    same pump.
+        let (outbox, heard) = (&mut self.outbox, &mut self.heard);
+        self.acks.retain(|ack| {
+            if ack.deliver_at > now {
+                return true;
+            }
             // The ack travels dst→src of the data link: it acks seq on
             // the (ack.dst, ack.src) data link.
-            self.outbox
-                .retain(|p| !(p.src == ack.dst && p.dst == ack.src && p.seq == ack.seq));
-        }
+            let acked = |p: &Pending<P>| p.src == ack.dst && p.dst == ack.src && p.seq == ack.seq;
+            if let Some(i) = outbox.iter().position(acked) {
+                outbox.remove(i);
+            }
+            heard.insert(link(ack.src, ack.dst), now);
+            false
+        });
         // 2. Retransmit overdue unacked frames.
-        let overdue: Vec<(NodeId, NodeId, u64, P)> = self
-            .outbox
-            .iter_mut()
-            .filter(|p| now.saturating_sub(p.last_sent) >= self.rto)
-            .map(|p| {
-                p.last_sent = now;
-                (p.src, p.dst, p.seq, p.payload.clone())
-            })
-            .collect();
-        for (src, dst, seq, payload) in overdue {
+        for i in 0..self.outbox.len() {
+            let p = &mut self.outbox[i];
+            if now.saturating_sub(p.last_sent) < self.rto {
+                continue;
+            }
+            p.last_sent = now;
+            let (src, dst, seq, payload) = (p.src, p.dst, p.seq, p.payload.clone());
             self.stats.retransmits += 1;
-            self.transmit(src, dst, seq, &payload, now);
+            self.transmit(src, dst, seq, payload, now);
         }
         // 3. Deliver due data frames in deterministic order, filtering
-        //    duplicates of already-accepted seqs.
-        let mut due: Vec<Wire<P>> = Vec::new();
-        let mut rest: Vec<Wire<P>> = Vec::with_capacity(self.wires.len());
-        for w in self.wires.drain(..) {
-            if w.deliver_at <= now {
-                due.push(w);
-            } else {
-                rest.push(w);
-            }
+        //    duplicates of already-accepted seqs. On a faultless plane
+        //    every frame is due, and the wire list is taken whole.
+        let mut due = std::mem::take(&mut self.due);
+        if self.wires.iter().all(|w| w.deliver_at <= now) {
+            std::mem::swap(&mut due, &mut self.wires);
+        } else {
+            due.extend(self.wires.extract_if(.., |w| w.deliver_at <= now));
         }
-        self.wires = rest;
         due.sort_by_key(|w| (w.deliver_at, w.order));
-        let mut fresh: Vec<Delivery<P>> = Vec::new();
-        let mut in_batch: BTreeSet<(NodeId, NodeId, u64)> = BTreeSet::new();
-        for w in due {
-            let link = (w.src, w.dst);
+        self.batch.clear();
+        for w in due.drain(..) {
             let accepted_before =
-                self.dedup.get(&link).is_some_and(|d| d.contains(w.seq));
+                self.dedup.get(&link(w.src, w.dst)).is_some_and(|d| d.contains(w.seq));
             if accepted_before {
                 // Retransmit of an applied frame: filter, and re-ack in
                 // case the earlier ack was lost.
@@ -552,16 +542,18 @@ impl<P: Clone> SimNet<P> {
                 self.transmit_ack(w.dst, w.src, w.seq, now);
                 continue;
             }
-            if !in_batch.insert((w.src, w.dst, w.seq)) {
+            let frame = (w.src, w.dst, w.seq);
+            if self.batch.contains(&frame) {
                 // An in-flight duplicate landing the same tick as its
                 // twin: drop silently. If the twin is accepted its ack
                 // covers both; if it is refused, no ack may be sent.
                 self.stats.deduped += 1;
                 continue;
             }
-            fresh.push(Delivery { src: w.src, dst: w.dst, seq: w.seq, payload: w.payload });
+            self.batch.push(frame);
+            out.push(Delivery { src: w.src, dst: w.dst, seq: w.seq, payload: w.payload });
         }
-        fresh
+        self.due = due;
     }
 
     /// Accepts a delivered frame: enters its seq into the link's dedup
@@ -569,13 +561,20 @@ impl<P: Clone> SimNet<P> {
     /// the outbox entry applied.
     pub fn accept(&mut self, src: NodeId, dst: NodeId, seq: u64, now: u64) {
         self.stats.delivered += 1;
-        self.dedup.entry((src, dst)).or_default().insert(seq, self.dedup_window);
+        self.dedup.entry(link(src, dst)).or_default().insert(seq, self.dedup_window);
+        self.heard.insert(link(src, dst), now);
         self.transmit_ack(dst, src, seq, now);
         if let Some(p) =
             self.outbox.iter_mut().find(|p| p.src == src && p.dst == dst && p.seq == seq)
         {
             p.applied = true;
         }
+    }
+
+    /// The last tick `dst` heard from `src`: an ack `src` sent arriving,
+    /// or a frame `src` sent being accepted. `None` before either.
+    pub(crate) fn last_heard(&self, src: NodeId, dst: NodeId) -> Option<u64> {
+        self.heard.get(&link(src, dst)).copied()
     }
 
     /// Refuses a delivered frame (dead or retired endpoint): no ack, no
@@ -585,21 +584,22 @@ impl<P: Clone> SimNet<P> {
         self.stats.refused += 1;
     }
 
+    /// How many sent frames no receiver has applied yet satisfy `pred`,
+    /// which sees each frame's destination and payload.
+    pub fn count_unapplied(&self, pred: impl Fn(NodeId, &P) -> bool) -> u64 {
+        self.outbox.iter().filter(|p| !p.applied && pred(p.dst, &p.payload)).count() as u64
+    }
+
     /// Removes every pending frame destined to `dst` and returns them
     /// with their applied flag. A failover calls this: applied frames are
     /// already accounted at the receiver (the journal is the authority)
     /// and are discarded; unapplied frames never reached it and are
     /// re-routed by the caller.
     pub fn take_pending_to(&mut self, dst: NodeId) -> Vec<(NodeId, u64, P, bool)> {
-        let (taken, rest): (Vec<Pending<P>>, Vec<Pending<P>>) =
-            self.outbox.drain(..).partition(|p| p.dst == dst);
-        self.outbox = rest;
-        taken.into_iter().map(|p| (p.src, p.seq, p.payload, p.applied)).collect()
-    }
-
-    /// Pending (unacked) frames currently destined to `dst`.
-    pub fn pending_to(&self, dst: NodeId) -> usize {
-        self.outbox.iter().filter(|p| p.dst == dst).count()
+        self.outbox
+            .extract_if(.., |p| p.dst == dst)
+            .map(|p| (p.src, p.seq, p.payload, p.applied))
+            .collect()
     }
 }
 
@@ -610,10 +610,15 @@ mod tests {
     const A: NodeId = NodeId::Coordinator;
     const B: NodeId = NodeId::Shard(1);
 
+    fn pump(net: &mut SimNet<u32>, now: u64) -> Vec<Delivery<u32>> {
+        let mut due = Vec::new();
+        net.pump(now, &mut due);
+        due
+    }
+
     fn drain_accept(net: &mut SimNet<u32>, now: u64) -> Vec<u32> {
-        let due = net.pump(now);
         let mut out = Vec::new();
-        for d in due {
+        for d in pump(net, now) {
             net.accept(d.src, d.dst, d.seq, now);
             out.push(d.payload);
         }
@@ -628,9 +633,9 @@ mod tests {
         }
         assert_eq!(drain_accept(&mut net, 5), (0..10).collect::<Vec<_>>());
         // Acked next tick; nothing retransmits, nothing re-delivers.
-        assert!(net.pump(6).is_empty());
-        assert!(net.pump(7).is_empty());
-        assert_eq!(net.pending_to(B), 0, "acks cleared the outbox");
+        assert!(pump(&mut net, 6).is_empty());
+        assert!(pump(&mut net, 7).is_empty());
+        assert!(net.take_pending_to(B).is_empty(), "acks cleared the outbox");
         let s = net.stats();
         assert_eq!((s.dropped, s.duplicated, s.deduped, s.retransmits), (0, 0, 0, 0));
     }
@@ -641,8 +646,8 @@ mod tests {
         let mut net: SimNet<u32> =
             SimNet::new(NetProfile { drop_ppm: 1_000_000, ..NetProfile::ideal() }, 7, 64, 2);
         net.send(A, B, 42, 0);
-        assert!(net.pump(0).is_empty());
-        assert!(net.pump(2).is_empty(), "retransmit at rto also dropped");
+        assert!(pump(&mut net, 0).is_empty());
+        assert!(pump(&mut net, 2).is_empty(), "retransmit at rto also dropped");
         assert!(net.stats().retransmits >= 1);
         // Heal the fault: the next retransmission lands exactly once.
         net.profile.drop_ppm = 0;
@@ -651,7 +656,7 @@ mod tests {
             got.extend(drain_accept(&mut net, now));
         }
         assert_eq!(got, vec![42]);
-        assert_eq!(net.pending_to(B), 0);
+        assert!(net.take_pending_to(B).is_empty());
     }
 
     #[test]
@@ -675,19 +680,19 @@ mod tests {
     fn refused_frames_keep_retransmitting_until_taken() {
         let mut net: SimNet<u32> = SimNet::new(NetProfile::ideal(), 7, 64, 2);
         net.send(A, B, 9, 0);
-        let due = net.pump(0);
+        let due = pump(&mut net, 0);
         assert_eq!(due.len(), 1);
         net.refuse();
         // Refused: not deduped, not acked — the retransmit surfaces it
         // again.
-        let due = net.pump(2);
+        let due = pump(&mut net, 2);
         assert_eq!(due.len(), 1, "refused frame must come back");
         assert_eq!(due[0].payload, 9);
         // A failover takes it out of the outbox, unapplied.
         let pending = net.take_pending_to(B);
         assert_eq!(pending.len(), 1);
         assert!(!pending[0].3, "never applied");
-        assert!(net.pump(4).is_empty() || net.pump(6).is_empty());
+        assert!(pump(&mut net, 4).is_empty() || pump(&mut net, 6).is_empty());
     }
 
     #[test]
@@ -696,13 +701,13 @@ mod tests {
         net.block(A, B);
         net.send(A, B, 1, 0);
         net.send(B, A, 2, 0);
-        let due = net.pump(0);
+        let due = pump(&mut net, 0);
         assert_eq!(due.len(), 1);
         assert_eq!((due[0].src, due[0].payload), (B, 2));
         net.accept(B, A, due[0].seq, 0);
         assert!(net.stats().partitioned >= 1);
         // Heal: the blocked frame's retransmission gets through.
-        net.heal(A, B);
+        net.heal_all();
         let mut got = Vec::new();
         for now in 1..6 {
             got.extend(drain_accept(&mut net, now));
@@ -718,9 +723,9 @@ mod tests {
             net.send(A, B, v, 0);
         }
         for now in 0..4 {
-            assert!(net.pump(now).is_empty());
+            assert!(pump(&mut net, now).is_empty());
         }
-        net.heal_pair(A, B);
+        net.heal_all();
         let mut got = Vec::new();
         for now in 4..12 {
             got.extend(drain_accept(&mut net, now));
@@ -738,7 +743,7 @@ mod tests {
                 if now < 50 {
                     net.send(A, B, now as u32, now);
                 }
-                for d in net.pump(now) {
+                for d in pump(&mut net, now) {
                     net.accept(d.src, d.dst, d.seq, now);
                     got.push(d.payload);
                 }

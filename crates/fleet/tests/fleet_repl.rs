@@ -61,18 +61,15 @@ fn campaign(
         for t in &ts {
             let _ = c.offer(t, 64, now);
         }
-        for chunk in c.advance(now, 2, &[]) {
-            served.push((chunk.tenant, chunk.seq, chunk.cost));
-        }
+        served.extend(c.advance(now, 2, &[]).into_iter().map(|q| (q.tenant, q.seq, q.cost)));
         // No react(): the sustained starvation would brown-out-fence the
         // fleet, and this suite tests the *crash* path in isolation.
         assert!(c.stats().conserves(), "tick {now}: {:?}", c.stats());
     }
     let mut now = 120;
     while c.stats().queued > 0 {
-        for chunk in c.advance(now, usize::MAX, &[]) {
-            served.push((chunk.tenant, chunk.seq, chunk.cost));
-        }
+        let tick = c.advance(now, usize::MAX, &[]);
+        served.extend(tick.into_iter().map(|q| (q.tenant, q.seq, q.cost)));
         now += 1;
     }
     let kinds = c.failovers().iter().map(|f| f.kind).collect();
@@ -209,14 +206,17 @@ fn quiet_and_burst_campaign(dir: &std::path::Path) -> Observed {
         for t in offering {
             c.offer(t, 64, now).unwrap();
         }
-        let busy = c.view().shards.iter().filter(|h| h.queue_depth > 0).count();
+        // Offers land when `advance` pumps the plane, so the busy shards
+        // show in what the tick served: one chunk from each offering
+        // tenant's home shard, each a different shard.
+        let before = served.len();
+        let tick = c.advance(now, usize::MAX, &[]);
+        served.extend(tick.into_iter().map(|q| (q.tenant, q.seq, q.cost)));
+        let busy = served.len() - before;
         assert_eq!(busy, offering.len(), "tick {now}: the schedule's busy-shard count");
-        for chunk in c.advance(now, usize::MAX, &[]) {
-            served.push((chunk.tenant, chunk.seq, chunk.cost));
-        }
         assert_eq!(c.stats().queued, 0, "tick {now}: every tick serves all it queued");
     }
-    let (stats, level_ticks) = (c.stats(), c.durability_level_ticks());
+    let (stats, level_ticks) = (c.stats(), c.view().durability_level_ticks);
     drop(c);
     Observed { served, stats, level_ticks, files: journal_files(dir) }
 }

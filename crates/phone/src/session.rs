@@ -94,18 +94,6 @@ impl RecordingSession {
         self
     }
 
-    /// The fault profile recordings are subjected to.
-    pub fn fault_profile(&self) -> &FaultProfile {
-        &self.faults
-    }
-
-    /// Sets the silent gap between consecutive clip playbacks (seconds).
-    #[must_use]
-    pub fn with_gap_s(mut self, gap_s: f64) -> Self {
-        self.gap_s = gap_s.max(0.0);
-        self
-    }
-
     /// The device this session records on.
     pub fn device_name(&self) -> &str {
         &self.device_name

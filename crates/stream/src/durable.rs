@@ -200,6 +200,10 @@ fn encode_transition(region: u64, t: Transition) -> Vec<u8> {
 struct FenceGuard {
     token: u64,
     authority: Arc<AtomicU64>,
+    /// Whether the `REC_FENCE_EPOCH` stamp is journaled yet. It goes out
+    /// ahead of the incarnation's first record, so an incarnation that
+    /// never writes costs no append.
+    stamped: bool,
 }
 
 struct SinkInner {
@@ -216,7 +220,7 @@ struct SinkInner {
     /// its frame bytes (a kill landing mid-ship).
     tear_replica: Option<f64>,
     /// Fencing guard; `None` when the sink's writer is not fenced (solo
-    /// deployments, direct-mode fleets).
+    /// deployments).
     fence: Option<FenceGuard>,
     /// The VFS every durable byte of this sink crosses — `OsVfs` in
     /// production, a `FaultVfs` under the disk nemesis.
@@ -238,6 +242,9 @@ struct SinkInner {
 #[derive(Clone)]
 pub struct DurableSink {
     inner: Arc<Mutex<SinkInner>>,
+    /// Whether a disk gauge is armed. Fixed at creation, so the gauge
+    /// readers answer an unarmed sink without taking the lock.
+    gauged: bool,
 }
 
 impl core::fmt::Debug for DurableSink {
@@ -278,6 +285,15 @@ fn append_direct(inner: &mut SinkInner, kind: u8, data: &[u8]) {
         if let Err(e) = result {
             inner.replica_error = Some(e);
         }
+    }
+}
+
+/// Appends one record through the gauge when one is armed, else directly.
+fn write_record(inner: &mut SinkInner, kind: u8, data: &[u8]) {
+    if inner.gauge.is_some() {
+        append_gauged(inner, kind, data);
+    } else {
+        append_direct(inner, kind, data);
     }
 }
 
@@ -411,10 +427,21 @@ impl DurableSink {
         gauge: Option<DiskGaugeConfig>,
     ) -> Result<DurableSink, DurableError> {
         let journal = Journal::create_with(path, vfs.as_ref())?;
-        Ok(DurableSink {
+        Ok(DurableSink::over(journal, None, vfs, gauge))
+    }
+
+    /// A sink over freshly created journals, gauged when `gauge` is set.
+    fn over(
+        journal: Journal,
+        replica: Option<Journal>,
+        vfs: Arc<dyn Vfs>,
+        gauge: Option<DiskGaugeConfig>,
+    ) -> DurableSink {
+        DurableSink {
+            gauged: gauge.is_some(),
             inner: Arc::new(Mutex::new(SinkInner {
                 journal,
-                replica: None,
+                replica,
                 seq: 0,
                 error: None,
                 replica_error: None,
@@ -425,7 +452,7 @@ impl DurableSink {
                 unjournaled: 0,
                 durability_log: Vec::new(),
             })),
-        })
+        }
     }
 
     /// Creates a fresh journal at `path` plus a synchronous replica at
@@ -456,36 +483,18 @@ impl DurableSink {
     ) -> Result<DurableSink, DurableError> {
         let journal = Journal::create_with(path, vfs.as_ref())?;
         let replica = Journal::create_with(replica_path, vfs.as_ref())?;
-        Ok(DurableSink {
-            inner: Arc::new(Mutex::new(SinkInner {
-                journal,
-                replica: Some(replica),
-                seq: 0,
-                error: None,
-                replica_error: None,
-                tear_replica: None,
-                fence: None,
-                vfs,
-                gauge: gauge.map(DiskGauge::new),
-                unjournaled: 0,
-                durability_log: Vec::new(),
-            })),
-        })
+        Ok(DurableSink::over(journal, Some(replica), vfs, gauge))
     }
 
     /// Arms the fencing guard: every later append checks `token` against
     /// the shared `authority` (the storage-side minimum-valid token) and
     /// refuses with [`DurableError::Fenced`] once the authority moves past
-    /// it. The stamp itself is journaled (`REC_FENCE_EPOCH`) so recovery
-    /// can prove which incarnation wrote the tail.
+    /// it. The stamp itself is journaled (`REC_FENCE_EPOCH`) ahead of the
+    /// first record the sink writes under it, so recovery can prove which
+    /// incarnation wrote the tail.
     pub fn set_fence(&self, token: u64, authority: Arc<AtomicU64>) {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.fence = Some(FenceGuard { token, authority });
-        }
-        let mut enc = Enc::new();
-        enc.u64(token);
-        self.append(REC_FENCE_EPOCH, &enc.into_bytes());
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.fence = Some(FenceGuard { token, authority, stamped: false });
     }
 
     /// The fencing token this sink writes under, when fenced.
@@ -499,25 +508,31 @@ impl DurableSink {
         if inner.error.is_some() {
             return; // latched: first failure wins, journaling stops
         }
-        if let Some(fence) = inner.fence.as_ref() {
+        if let Some(fence) = inner.fence.as_mut() {
             let current = fence.authority.load(Ordering::SeqCst);
             if current > fence.token {
                 // A stale incarnation: refuse before touching the file so
                 // the successor's replay sees exactly the bytes this
                 // writer committed while it was still the valid holder.
+                let held = fence.token;
                 inner.error = Some(DurableError::Fenced {
                     path: inner.journal.path().display().to_string(),
-                    held: fence.token,
+                    held,
                     current,
                 });
                 return;
             }
+            if !fence.stamped {
+                fence.stamped = true;
+                let mut enc = Enc::new();
+                enc.u64(fence.token);
+                write_record(&mut inner, REC_FENCE_EPOCH, &enc.into_bytes());
+                if inner.error.is_some() {
+                    return;
+                }
+            }
         }
-        if inner.gauge.is_some() {
-            append_gauged(&mut inner, kind, data);
-        } else {
-            append_direct(&mut inner, kind, data);
-        }
+        write_record(&mut inner, kind, data);
     }
 
     /// Journals one committed region emission (append + fsync).
@@ -584,6 +599,9 @@ impl DurableSink {
     /// The gauge's current durability level; `None` when no gauge is armed
     /// (classic latch semantics).
     pub fn durability_level(&self) -> Option<DurabilityLevel> {
+        if !self.gauged {
+            return None;
+        }
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.gauge.as_ref().map(|g| g.level())
     }
@@ -599,6 +617,9 @@ impl DurableSink {
     pub fn take_durability_transitions(
         &self,
     ) -> Vec<(u64, DurabilityLevel, DurabilityLevel)> {
+        if !self.gauged {
+            return Vec::new();
+        }
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut inner.durability_log)
     }
@@ -1286,7 +1307,9 @@ mod tests {
         let path = dir.join("shard-0.log");
         let authority = Arc::new(AtomicU64::new(1));
         let sink = DurableSink::create(&path).unwrap();
+        let header = std::fs::read(&path).unwrap();
         sink.set_fence(1, Arc::clone(&authority));
+        assert_eq!(std::fs::read(&path).unwrap(), header, "the stamp waits for a record");
         let admit = ChunkAdmit { tick: 2, tenant: "amber".into(), seq: 0, cost: 4 };
         sink.record_admit(&admit);
         assert!(sink.take_error().is_none());

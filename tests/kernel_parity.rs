@@ -46,7 +46,6 @@ fn verdict_stream_is_identical_across_kernel_modes_and_thread_counts() {
     let harvest = scenario.harvest().unwrap();
     let bundle = Arc::new(ModelBundle::train_with_cnn(&harvest, 7).unwrap());
     assert!(bundle.has_cnn(), "parity must cover the conv forward pass");
-    assert!(bundle.has_cnn_int8(), "the spectrogram CNN must lower to int8");
     let campaign = scenario.record_windows().unwrap();
 
     let run = |mode: &str, threads: usize| -> StreamReport {
