@@ -153,7 +153,7 @@ impl AdmissionController {
     /// Additionally journals every chunk admission (write-ahead of the
     /// enqueue) and every serve, so a crashed shard's exact queue can be
     /// reconstructed as `admits − serves − sheds` by `(tenant, seq)`.
-    /// Requires a [`DurableSink`]; a replicated fleet enables this so
+    /// Requires a [`DurableSink`]; every fleet shard enables this so
     /// crash failover can replay in-flight work instead of booking it as
     /// loss.
     #[must_use]

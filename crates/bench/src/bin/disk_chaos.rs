@@ -29,12 +29,11 @@
 //! The simulation runs on the fleet's logical clock and the grid is
 //! parallelized with order-preserving `par_map_indexed`, so
 //! `disk_chaos.json` is **byte-identical under any `EMOLEAK_THREADS`**
-//! (for a fixed shard count and replica setting) — there are no
-//! wall-clock fields at all. The grid, its knobs
-//! (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`; `EMOLEAK_CHAOS_SEEDS`,
-//! default 2) and the report live in `emoleak_bench::chaos`;
-//! `EMOLEAK_SHARDS` and `EMOLEAK_REPLICAS` size the fleet. Exits non-zero
-//! if any run violates the contract.
+//! (for a fixed shard count) — there are no wall-clock fields at all.
+//! The grid, its knobs (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`;
+//! `EMOLEAK_CHAOS_SEEDS`, default 2), the fleet tuning, the final drain
+//! and the report live in `emoleak_bench::chaos`; `EMOLEAK_SHARDS` sizes
+//! the fleet. Exits non-zero if any run violates the contract.
 
 use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::admission::DurabilityLevel;
@@ -145,21 +144,11 @@ struct DriveOutcome {
 
 fn drive(
     spec: &Cell<Scenario>,
-    env: &FleetConfig,
+    shards: u32,
     disk: DiskConfig,
     dir: &std::path::Path,
 ) -> Result<DriveOutcome, String> {
-    let mut cfg = FleetConfig {
-        shards: env.shards,
-        replicas: env.replicas,
-        ledger_every: 10,
-        scrub_every: 10,
-        disk,
-        ..FleetConfig::default()
-    };
-    cfg.admission.mem_budget = 1 << 16;
-    cfg.admission.tenant_rps = 1_000_000;
-    cfg.admission.tenant_burst = 1_000_000;
+    let cfg = FleetConfig { disk, ..chaos::fleet_config(shards) };
     let mut violations = Vec::new();
     let mut coord =
         FleetCoordinator::new(cfg, dir).map_err(|e| format!("fleet dir unusable: {e}"))?;
@@ -191,32 +180,11 @@ fn drive(
         }
         now += 1;
     }
-    // Full drain: the identity must close with nothing queued or still
-    // on the plane.
-    let mut drained = 0;
-    while !coord.stats().settled() && drained < 10_000 {
-        for chunk in coord.advance(now, usize::MAX, &[]) {
-            served.entry(chunk.tenant).or_default().push((chunk.seq, chunk.cost));
-        }
-        now += 1;
-        drained += 1;
-    }
+    let (stats, view) = chaos::drain_fleet(&mut coord, now, &mut violations, |chunk, _| {
+        served.entry(chunk.tenant).or_default().push((chunk.seq, chunk.cost));
+    });
     for chunks in served.values_mut() {
         chunks.sort_unstable();
-    }
-    let stats = coord.stats();
-    let view = coord.view();
-    if !stats.conserves() {
-        violations.push(format!("final identity broken: {stats:?}"));
-    }
-    if !stats.settled() {
-        violations.push(format!(
-            "drained fleet still holds {} queued and {} in-flight chunk(s)",
-            stats.queued, stats.in_flight
-        ));
-    }
-    if view.live == 0 {
-        violations.push("the fleet went dark: zero live shards".to_string());
     }
     Ok(DriveOutcome {
         stats,
@@ -253,12 +221,12 @@ fn check_chain(
 
 fn simulate(
     spec: &Cell<Scenario>,
-    env: &FleetConfig,
+    shards: u32,
     dir: &std::path::Path,
     violations: &mut Vec<String>,
 ) -> Result<Fields, String> {
     let disk = spec.scenario.disk(spec.severity, spec.seed);
-    let out = drive(spec, env, disk, dir.join("armed").as_path())?;
+    let out = drive(spec, shards, disk, dir.join("armed").as_path())?;
     violations.extend(out.violations);
     check_chain(&out.transitions, violations);
 
@@ -266,7 +234,7 @@ fn simulate(
         // The armed-but-quiet control: re-run the identical schedule on
         // the unarmed OsVfs path and demand indistinguishability, down
         // to the journal bytes.
-        let bare = drive(spec, env, DiskConfig::default(), dir.join("bare").as_path())
+        let bare = drive(spec, shards, DiskConfig::default(), dir.join("bare").as_path())
             .map_err(|e| format!("unarmed control: {e}"))?;
         violations.extend(bare.violations.iter().map(|v| format!("unarmed control: {v}")));
         if out.stats != bare.stats {
@@ -278,7 +246,7 @@ fn simulate(
         if out.digest != bare.digest {
             violations.push("a quiet nemesis changed what was served".to_string());
         }
-        for id in 0..env.shards {
+        for id in 0..shards {
             let armed = std::fs::read(shard_journal_path(&dir.join("armed"), id));
             let plain = std::fs::read(shard_journal_path(&dir.join("bare"), id));
             match (armed, plain) {
@@ -409,16 +377,15 @@ fn level_name(level: DurabilityLevel) -> &'static str {
 
 fn main() -> Result<(), EmoleakError> {
     println!("Disk chaos: ENOSPC ramps, EIO storms, fsync stalls, and the durability ladder");
-    // EMOLEAK_SHARDS / EMOLEAK_REPLICAS come through the fleet config;
-    // the grid overrides `disk` per cell, so the env's own EMOLEAK_DISK_*
-    // arming (if any) does not leak into the runs.
-    let env = FleetConfig::from_env()?;
+    // EMOLEAK_SHARDS comes through the fleet config; each grid cell arms
+    // its own disk.
+    let shards = FleetConfig::from_env()?.shards;
     let grid = chaos::grid(&SCENARIOS, 0xD15C, &[0.0, 1.0, 2.0], 2)?;
     // Order-preserving parallel map: the record order — and therefore the
     // JSON bytes — is the grid order under any EMOLEAK_THREADS.
     let records = par_map_indexed(&grid, |i, cell| {
         chaos::run_cell("disk_chaos", i, cell.fields("scenario"), |dir, violations| {
-            simulate(cell, &env, dir, violations)
+            simulate(cell, shards, dir, violations)
         })
     });
     let mut level_ticks = [0u64; 4];
@@ -437,7 +404,7 @@ fn main() -> Result<(), EmoleakError> {
     ];
     chaos::finish(
         "disk_chaos",
-        &[("shards", env.shards.into()), ("replicas", env.replicas.into())],
+        &[("shards", shards.into())],
         &records,
         &summary,
         &[

@@ -15,7 +15,7 @@
 //!   (the pipeline's data efficiency);
 //! * `journal_append_us` — mean journal-append latency solo vs with a
 //!   synchronous replica ship, plus the overhead percentage: the price
-//!   of `EMOLEAK_REPLICAS=1` on the hot durable path;
+//!   of replication on the hot durable path;
 //! * `coordinator_tick_us` — mean cost of one tick of the chunk
 //!   coordinator's offer+advance hot loop over its message plane (every
 //!   offered chunk is asserted served on this clean run);
@@ -28,10 +28,10 @@
 //!   causes.
 //!
 //! Wall-clock numbers vary by machine; the *shape* (counters, emissions,
-//! verdicts) is deterministic for a fixed seed and shard count. Knobs:
-//! `EMOLEAK_SHARDS`, `EMOLEAK_FLEET_SEED`, `EMOLEAK_FLEET_BENCH_TICKS`
-//! (default 48), `EMOLEAK_FLEET_BENCH_RATE` (mean sessions/tick, default
-//! 1.5), `EMOLEAK_FLEET_BENCH_JSON` (default `BENCH_fleet.json`).
+//! verdicts) is deterministic for a fixed shard count. Knobs:
+//! `EMOLEAK_SHARDS`, `EMOLEAK_FLEET_BENCH_TICKS` (default 48),
+//! `EMOLEAK_FLEET_BENCH_RATE` (mean sessions/tick, default 1.5),
+//! `EMOLEAK_FLEET_BENCH_JSON` (default `BENCH_fleet.json`).
 
 use emoleak_bench::chaos::percentile;
 use emoleak_bench::write_result;

@@ -21,11 +21,10 @@
 //!   (tenant, seq, cost) digests to the same value for ANY shard count,
 //!   because coordinator-assigned seqs survive routing. The digests land
 //!   in their own artifact so CI can byte-compare it across
-//!   `EMOLEAK_SHARDS` values (and across `EMOLEAK_REPLICAS` — replication
-//!   must not change what is served);
-//! * replicated failover is exact — with replication on, a kill (disk
-//!   intact) or a disk loss (replica reconciles) replays the queue with
-//!   `crash_loss == 0` and `recovered > 0`; a scrub-repaired replica
+//!   `EMOLEAK_SHARDS` values;
+//! * crash failover is exact — a kill (disk intact) or a disk loss
+//!   (replica reconciles) replays the queue with `crash_loss == 0` and
+//!   `recovered > 0`; a scrub-repaired replica
 //!   reconciles a later disk loss exactly; only a double failure (disk
 //!   gone *and* replica corrupted) books loss — and it must book it
 //!   honestly, never replay a damaged copy;
@@ -42,20 +41,19 @@
 //! The simulation runs on the fleet's logical clock, and the scenario grid
 //! is parallelized with order-preserving `par_map_indexed`, so
 //! `fleet_chaos.json` is **byte-identical under any `EMOLEAK_THREADS`**
-//! (for a fixed shard count and replica setting) — except the
-//! `failover_wall_us` summary lines, which report wall time and are
-//! stripped before comparison (`grep -v failover_wall_us`). The grid, its
-//! knobs (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`;
-//! `EMOLEAK_CHAOS_SEEDS`, default 2) and the reports live in
-//! `emoleak_bench::chaos`; `EMOLEAK_SHARDS` (default 4) and
-//! `EMOLEAK_REPLICAS` (0 disables replication) size the fleet. Exits
-//! non-zero if any run violates the contract.
+//! (for a fixed shard count) — except the `failover_wall_us` summary
+//! lines, which report wall time and are stripped before comparison
+//! (`grep -v failover_wall_us`). The grid, its knobs
+//! (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`; `EMOLEAK_CHAOS_SEEDS`,
+//! default 2), the fleet tuning, the final drain and the reports live in
+//! `emoleak_bench::chaos`; `EMOLEAK_SHARDS` (default 4) sizes the fleet
+//! and `EMOLEAK_NET` picks the plane. Exits non-zero if any run violates
+//! the contract.
 
 use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::EmoleakError;
 use emoleak_durable::Defect;
 use emoleak_exec::{derive_seed, par_map_indexed, splitmix64};
-use emoleak_fleet::config::NetConfig;
 use emoleak_fleet::{
     shard_journal_path, FailoverKind, FleetConfig, FleetCoordinator, NetProfileKind,
 };
@@ -86,9 +84,8 @@ enum Scenario {
     /// Hostile chunks panic one shard's workers while a flood squeezes
     /// another: two containment domains failing differently at once.
     SplitTenantFlood,
-    /// One shard's machine dies mid-run — process *and* disk. With
-    /// replication on, the replica on the follower's node must replay the
-    /// queue with zero loss.
+    /// One shard's machine dies mid-run — process *and* disk. The replica
+    /// on the follower's node must replay the queue with zero loss.
     DiskLoss,
     /// The replica suffers bit rot and a torn ship mid-run; the
     /// anti-entropy scrub must detect and repair it in time for a later
@@ -125,27 +122,6 @@ const SCENARIOS: [(&str, Scenario); 12] = [
     ("asymmetric_partition", Scenario::AsymmetricPartition),
     ("stale_writer", Scenario::StaleWriter),
 ];
-
-/// The fleet tuning every run uses: generous rate limits (floods are
-/// shaped by the byte budget and the breaker), a short ledger cadence so
-/// crash reconciliation stays tight, and the shard count from the
-/// environment so CI can sweep it.
-fn fleet_config(shards: u32, replicas: u32, net: NetConfig) -> FleetConfig {
-    let mut cfg = FleetConfig {
-        shards,
-        replicas,
-        net,
-        ledger_every: 10,
-        // A short scrub cadence so every shard's replica is verified a
-        // few times within the run (round-robin over the fleet).
-        scrub_every: 10,
-        ..FleetConfig::default()
-    };
-    cfg.admission.mem_budget = 1 << 16;
-    cfg.admission.tenant_rps = 1_000_000;
-    cfg.admission.tenant_burst = 1_000_000;
-    cfg
-}
 
 /// Offers issued for tick `now`, as `(tenant index, cost)` pairs — a pure
 /// function of `(scenario, severity, seed, now, flood targets)`.
@@ -273,8 +249,7 @@ fn simulate(
     violations: &mut Vec<String>,
     failover_wall: &mut Duration,
 ) -> Result<Fields, String> {
-    let cfg = fleet_config(env.shards, env.replicas, env.net);
-    let replicated = cfg.replicated();
+    let cfg = FleetConfig { net: env.net, ..chaos::fleet_config(env.shards) };
     // A deliberately faulty plane (`EMOLEAK_NET=lossy|chaotic`) weakens
     // the exact-replay expectations: part of a pre-kill burst can still
     // be in flight when the shard dies, and in-flight chunks are
@@ -336,7 +311,7 @@ fn simulate(
         let kill_now = match spec.scenario {
             Scenario::ShardKill if now == kill_tick => Some((false, false)),
             Scenario::DiskLoss if now == kill_tick => Some((true, false)),
-            Scenario::DoubleFailure if now == kill_tick => Some((true, replicated)),
+            Scenario::DoubleFailure if now == kill_tick => Some((true, true)),
             Scenario::ReplicaCorrupt if now == late_kill_tick => Some((true, false)),
             _ => None,
         };
@@ -423,7 +398,6 @@ fn simulate(
         if matches!(spec.scenario, Scenario::ReplicaCorrupt)
             && spec.severity > 0.0
             && now == corrupt_tick
-            && replicated
             && coord.ring().len() > 1
         {
             // Bit rot on the victim's replica plus a torn ship: the scrub
@@ -492,36 +466,14 @@ fn simulate(
         }
         now += 1;
     }
-    // Full drain: the identity must close with nothing queued or still
-    // on the plane.
-    let mut drained = 0;
-    while !coord.stats().settled() && drained < 10_000 {
-        for chunk in coord.advance(now, usize::MAX, &[]) {
-            served.entry(chunk.tenant.clone()).or_default().push((chunk.seq, chunk.cost));
-            if killed.is_some() {
-                first_served_after_kill.entry(chunk.tenant).or_insert(now);
-            }
+    let (stats, view) = chaos::drain_fleet(&mut coord, now, violations, |chunk, now| {
+        served.entry(chunk.tenant.clone()).or_default().push((chunk.seq, chunk.cost));
+        if killed.is_some() {
+            first_served_after_kill.entry(chunk.tenant).or_insert(now);
         }
-        now += 1;
-        drained += 1;
-    }
+    });
     for chunks in served.values_mut() {
         chunks.sort_unstable();
-    }
-
-    let stats = coord.stats();
-    let view = coord.view();
-    if !stats.conserves() {
-        violations.push(format!("final identity broken: {stats:?}"));
-    }
-    if !stats.settled() {
-        violations.push(format!(
-            "drained fleet still holds {} queued and {} in-flight chunk(s)",
-            stats.queued, stats.in_flight
-        ));
-    }
-    if view.live == 0 {
-        violations.push("the fleet went dark: zero live shards".to_string());
     }
     let graceful =
         coord.failovers().iter().filter(|f| f.kind == FailoverKind::Graceful).count();
@@ -576,10 +528,9 @@ fn simulate(
                     violations.push("the kill never registered as a crash".to_string());
                 }
                 violations.extend(lost);
-                // The disk survived the kill, so with replication on (or
-                // off! the primary journal alone suffices here) the
-                // pre-kill burst replays exactly.
-                if env.shards > 1 && replicated {
+                // The disk survived the kill, so the primary journal
+                // replays the pre-kill burst exactly.
+                if env.shards > 1 {
                     if stats.crash_loss != 0 {
                         violations.push(format!(
                             "a kill with an intact disk must replay losslessly: {} lost",
@@ -598,30 +549,21 @@ fn simulate(
                         violations.push("the kill never registered as a crash".to_string());
                     }
                     violations.extend(lost);
-                    if replicated {
-                        // The failure replication exists for: primary disk
-                        // gone, the replica replays the queue exactly.
-                        if stats.crash_loss != 0 {
-                            violations.push(format!(
-                                "the replica must reconcile a disk loss exactly: {} lost",
-                                stats.crash_loss
-                            ));
-                        }
-                        if stats.recovered == 0 && !faulty_plane {
-                            violations.push(
-                                "nothing replayed from the replica".to_string(),
-                            );
-                        }
-                    } else if stats.crash_loss == 0 {
-                        violations.push(
-                            "disk loss without a replica must book honest loss"
-                                .to_string(),
-                        );
+                    // The failure replication exists for: primary disk
+                    // gone, the replica replays the queue exactly.
+                    if stats.crash_loss != 0 {
+                        violations.push(format!(
+                            "the replica must reconcile a disk loss exactly: {} lost",
+                            stats.crash_loss
+                        ));
+                    }
+                    if stats.recovered == 0 && !faulty_plane {
+                        violations.push("nothing replayed from the replica".to_string());
                     }
                 }
             }
             Scenario::ReplicaCorrupt => {
-                if env.shards > 1 && replicated {
+                if env.shards > 1 {
                     // The scrub must have found the bit rot / torn ship
                     // and repaired the replica before the late disk loss.
                     if scrub_found == 0 {
@@ -713,18 +655,14 @@ fn simulate(
                     }
                     // The partition killed the process, not the disk: the
                     // journal replays the queue exactly.
-                    if replicated {
-                        if stats.crash_loss != 0 {
-                            violations.push(format!(
-                                "a partition must lose nothing (the journal survives): \
-                                 {} lost",
-                                stats.crash_loss
-                            ));
-                        }
-                        if stats.recovered == 0 && !faulty_plane {
-                            violations
-                                .push("the partitioned queue never replayed".to_string());
-                        }
+                    if stats.crash_loss != 0 {
+                        violations.push(format!(
+                            "a partition must lose nothing (the journal survives): {} lost",
+                            stats.crash_loss
+                        ));
+                    }
+                    if stats.recovered == 0 && !faulty_plane {
+                        violations.push("the partitioned queue never replayed".to_string());
                     }
                     violations.extend(lost);
                     if coord.net_stats().partitioned == 0 {
@@ -789,7 +727,7 @@ fn main() -> Result<(), EmoleakError> {
 
     // The shard-count-invariant artifact: only the clean-path (severity 0)
     // served digests, which a correct fleet reproduces for ANY shard
-    // count, kernel mode, replica setting or message plane.
+    // count, kernel mode or message plane.
     let mut digests =
         String::from("# clean-path served digests: invariant across EMOLEAK_SHARDS\n");
     for (cell, record) in grid.iter().zip(&records).filter(|(c, _)| c.severity == 0.0) {
@@ -810,7 +748,7 @@ fn main() -> Result<(), EmoleakError> {
     ];
     chaos::finish(
         "fleet_chaos",
-        &[("shards", env.shards.into()), ("replicas", env.replicas.into())],
+        &[("shards", env.shards.into())],
         &records,
         &summary,
         &[

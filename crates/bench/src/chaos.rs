@@ -6,11 +6,15 @@
 //! `EMOLEAK_CHAOS_SEVERITIES`, seed count from `EMOLEAK_CHAOS_SEEDS`), a
 //! per-cell panic firewall with its own scratch directory, run records
 //! made of named JSON values plus their violations, and one report layout
-//! published under [`results_dir`]. Each harness binary keeps only its
-//! scenario table, its simulation and its contract checks.
+//! published under [`results_dir`]. The two fleet harnesses also share
+//! their fleet tuning ([`fleet_config`]) and their final drain
+//! ([`drain_fleet`]). Each harness binary keeps only its scenario table,
+//! its simulation and its contract checks.
 
 use crate::{results_dir, write_result};
+use emoleak_admission::QueuedChunk;
 use emoleak_core::EmoleakError;
+use emoleak_fleet::{FleetConfig, FleetCoordinator, FleetStats, FleetView};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -307,6 +311,56 @@ fn plain(value: &Json) -> String {
         Json::Obj(fields) => join(fields.iter().map(|(_, v)| plain(v)).collect()),
         scalar => scalar.to_string(),
     }
+}
+
+/// The fleet tuning every fleet-chaos run starts from: `shards` shards,
+/// generous rate limits (floods are shaped by the byte budget and the
+/// breaker), a short ledger cadence so crash reconciliation stays tight,
+/// and a short scrub cadence so every shard's replica is verified a few
+/// times within a run (round-robin over the fleet).
+pub fn fleet_config(shards: u32) -> FleetConfig {
+    let mut cfg =
+        FleetConfig { shards, ledger_every: 10, scrub_every: 10, ..FleetConfig::default() };
+    cfg.admission.mem_budget = 1 << 16;
+    cfg.admission.tenant_rps = 1_000_000;
+    cfg.admission.tenant_burst = 1_000_000;
+    cfg
+}
+
+/// Ends a fleet-chaos run with a full drain: advances from tick `now` at
+/// unlimited capacity until nothing is queued or in flight (at most
+/// 10 000 ticks), handing each served chunk and its tick to `serve`.
+/// Then the books must close — the identity holds, the fleet settled, and
+/// a shard is still live — or the run gets a violation. Returns the final
+/// counters and view.
+pub fn drain_fleet(
+    coord: &mut FleetCoordinator,
+    mut now: u64,
+    violations: &mut Vec<String>,
+    mut serve: impl FnMut(QueuedChunk, u64),
+) -> (FleetStats, FleetView) {
+    let mut drained = 0;
+    while !coord.stats().settled() && drained < 10_000 {
+        for chunk in coord.advance(now, usize::MAX, &[]) {
+            serve(chunk, now);
+        }
+        now += 1;
+        drained += 1;
+    }
+    let (stats, view) = (coord.stats(), coord.view());
+    if !stats.conserves() {
+        violations.push(format!("final identity broken: {stats:?}"));
+    }
+    if !stats.settled() {
+        violations.push(format!(
+            "drained fleet still holds {} queued and {} in-flight chunk(s)",
+            stats.queued, stats.in_flight
+        ));
+    }
+    if view.live == 0 {
+        violations.push("the fleet went dark: zero live shards".to_string());
+    }
+    (stats, view)
 }
 
 /// FNV-1a over a served stream: each tenant (sorted) by name, then its

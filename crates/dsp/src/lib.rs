@@ -42,7 +42,6 @@ pub mod envelope;
 pub mod noise;
 pub mod fft;
 pub mod filter;
-pub mod mfcc;
 pub mod resample;
 pub mod stats;
 pub mod stft;

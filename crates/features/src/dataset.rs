@@ -4,7 +4,7 @@
 //! - z-score normalization (for the CNN path),
 //! - stratified 80/20 train/test split,
 //! - stratified 10-fold cross-validation splits,
-//! - CSV export (the paper writes `.csv` / `.arff` for Weka).
+//! - CSV export (the paper writes `.csv` for Weka).
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

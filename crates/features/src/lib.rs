@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arff;
 pub mod dataset;
 pub mod freq_domain;
 pub mod info_gain;

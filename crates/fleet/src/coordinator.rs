@@ -54,10 +54,9 @@
 //!   journaled — and its evacuation, once delivered, books the retired
 //!   counters and re-offers the evacuees along each tenant's new route.
 //! - **crash** (panic budget exhausted, a hard kill, or an expired
-//!   lease): in-memory state is gone. With replication on (the
-//!   default), the shard journaled an admit record before every enqueue
-//!   and a serve/shed record after every dequeue, and shipped each
-//!   committed record synchronously to a
+//!   lease): in-memory state is gone. The shard journaled an admit
+//!   record before every enqueue and a serve/shed record after every
+//!   dequeue, and shipped each committed record synchronously to a
 //!   deterministic follower ([`HashRing::successor_shard`]). The
 //!   coordinator replays the first *clean* surviving segment — primary
 //!   (process death, disk intact) or replica (disk loss) — reconstructs
@@ -74,10 +73,10 @@
 //!
 //! # Anti-entropy scrubbing
 //!
-//! Replicas are only worth what they can replay. On a logical-tick
-//! cadence (`EMOLEAK_SCRUB_EVERY`), the coordinator CRC-verifies one live
-//! shard's replica against its primary (round-robin over the fleet),
-//! classifies any difference ([`Defect::ReplicaLag`] /
+//! Replicas are only worth what they can replay. Every
+//! [`FleetConfig::scrub_every`] ticks, the coordinator CRC-verifies one
+//! live shard's replica against its primary (round-robin over the
+//! fleet), classifies any difference ([`Defect::ReplicaLag`] /
 //! [`Defect::ReplicaDiverged`]), and read-repairs it by deterministic
 //! rebuild ([`Defect::ScrubRepaired`]). A damaged primary is reported
 //! with its own defect and never used to repair the replica. Findings
@@ -94,8 +93,9 @@ use emoleak_admission::{AdmissionStats, QueuedChunk};
 use emoleak_core::admission::{AdmissionError, DurabilityLevel, FleetState};
 use emoleak_durable::{Dec, Defect, DurableError, Enc, Journal};
 use emoleak_exec::{derive_seed, par_map_vec_indexed};
-use emoleak_stream::durable::{recover_run, ChunkAdmit, LedgerRecord};
+use emoleak_stream::durable::{recover_run, ChunkAdmit, LedgerRecord, RecoveredRun};
 use emoleak_stream::log::{ServiceEvent, ServiceLog};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
@@ -104,6 +104,9 @@ use std::sync::Arc;
 
 /// Coordinator-journal record kind: one checkpoint.
 pub const REC_CHECKPOINT: u8 = 1;
+
+/// Receiver-side dedup window of every plane link, in sequence numbers.
+const DEDUP_WINDOW: usize = 1024;
 
 /// Fleet-wide counters: live shards plus the retired ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -360,12 +363,9 @@ impl FleetCoordinator {
 
     /// A coordinator with no shards yet: a fresh plane, empty books.
     fn bare(cfg: FleetConfig, dir: &Path, ring: HashRing, checkpoint: Journal) -> Self {
-        let seed = match cfg.net.seed {
-            0 => derive_seed(cfg.seed, 0x005E_70FF_A111),
-            s => s,
-        };
+        let seed = derive_seed(cfg.seed, 0x005E_70FF_A111);
         FleetCoordinator {
-            net: SimNet::new(cfg.net.profile.profile(), seed, cfg.net.dedup_window, 2),
+            net: SimNet::new(cfg.net.profile.profile(), seed, DEDUP_WINDOW, 2),
             inbox: Vec::new(),
             ring,
             routed: BTreeMap::new(),
@@ -409,7 +409,7 @@ impl FleetCoordinator {
     /// entire (healthy) fleet. First renewals are staggered by shard id.
     fn spawn_shard(&mut self, id: u32, start: u64) -> Result<(), DurableError> {
         let cfg = &self.cfg;
-        let follower = if cfg.replicated() { self.ring.successor_shard(id) } else { None };
+        let follower = self.ring.successor_shard(id);
         let lease_until = start + cfg.net.lease_ticks;
         let shard = Shard::new(
             id,
@@ -417,7 +417,6 @@ impl FleetCoordinator {
             cfg.admission.clone(),
             cfg.restart_budget,
             cfg.ledger_every,
-            cfg.replicated(),
             follower,
             DiskConfig { plan: cfg.disk.shard_plan(cfg.seed, id), gauge: cfg.disk.gauge },
             lease_until,
@@ -815,7 +814,7 @@ impl FleetCoordinator {
     /// Logical ticks only — deterministic for any thread count.
     fn scrub_tick(&mut self, now: u64) {
         let every = self.cfg.scrub_every;
-        if !self.cfg.replicated() || every == 0 || !now.is_multiple_of(every) {
+        if every == 0 || !now.is_multiple_of(every) {
             return;
         }
         let live: Vec<u32> = self
@@ -951,9 +950,6 @@ impl FleetCoordinator {
     /// rebuilt from their primary (the old copy is deleted); unchanged
     /// pairings are untouched.
     fn rehome_replicas(&mut self) {
-        if !self.cfg.replicated() {
-            return;
-        }
         let ring = self.ring.clone();
         for shard in &mut self.shards {
             if shard.state() == ShardState::Active && ring.contains(shard.id()) {
@@ -1000,8 +996,9 @@ impl FleetCoordinator {
     /// copy replays it (loss limited to records the shard's degraded
     /// gauge never journaled — `unjournaled`, booked as shed), or an
     /// empty queue plus the honest bounded loss (already booked as shed)
-    /// when every copy is damaged or replication is off. Touches books
-    /// only — never the ring.
+    /// when every copy is damaged. Every tenant's next seq moves past the
+    /// seqs any copy journaled (see [`FleetCoordinator::recover`]).
+    /// Touches books only — never the ring.
     fn reconcile_books(
         &mut self,
         id: u32,
@@ -1014,84 +1011,78 @@ impl FleetCoordinator {
         // Only copies that *exist* testify: `recover_run` materialises a
         // fresh empty journal for a missing path, and an empty journal
         // must never pass for a clean account of a destroyed disk.
-        let candidates: Vec<PathBuf> = std::iter::once(primary)
+        let runs: Vec<(RecoveredRun, bool)> = std::iter::once(primary)
             .chain(replica.clone())
             .filter(|p| p.exists())
+            .filter_map(|p| recover_run(&p).ok())
+            .map(|(run, defects)| (run, defects.is_empty()))
             .collect();
-        if self.cfg.replicated() {
-            // Among clean copies, the one with the most records wins: a
-            // shard that spent time at ReplicaOnly has a primary that
-            // scans clean but legitimately trails its replica.
-            let mut best = None;
-            for path in &candidates {
-                let Ok((run, defects)) = recover_run(path) else { continue };
-                if !defects.is_empty() {
-                    // A damaged copy is a *detected* liar: fsync ordering
-                    // and CRCs guarantee a clean scan covers every commit,
-                    // so only clean copies are trusted for exact replay.
-                    continue;
-                }
-                let score = run.admits.len() + run.serves.len() + run.sheds.len();
-                if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                    best = Some((score, run));
-                }
-            }
-            if let Some((_, run)) = best {
-                // Exact replay: every admit was journaled before its
-                // enqueue, every serve/shed after its dequeue, so the
-                // queue at death is the admit multiset minus both.
-                let mut done: BTreeSet<(String, u64)> = run
-                    .serves
-                    .iter()
-                    .map(|s| (s.tenant.clone(), s.seq))
-                    .chain(run.sheds.iter().map(|(_, t, _, seq)| (t.clone(), *seq)))
-                    .collect();
-                let queue: Vec<ChunkAdmit> = run
-                    .admits
-                    .iter()
-                    .filter(|a| !done.remove(&(a.tenant.clone(), a.seq)))
-                    .cloned()
-                    .collect();
-                // What survives in `done` is the *orphans*: serves/sheds
-                // journaled with no matching admit record, because the
-                // admit landed while the gauge was degraded past
-                // journaling and the serve after a climb. Each orphan is
-                // a chunk inside the routed-minus-admits gap that is
-                // already evidenced as served or shed — booking it as a
-                // rejection too would double-count it.
-                let orphans = done.len() as u64;
-                let admits = run.admits.len() as u64;
-                // `routed` is exact in-process; after a coordinator
-                // restart it comes from a checkpoint and may lag the
-                // journal — the max is the tightest honest offer count
-                // (post-checkpoint refusals are then under-counted on
-                // both sides of the identity, which stays exact).
-                let offered = routed.max(admits + orphans);
-                // The rest of the gap is front-door refusals (and, after
-                // a restart, offers that died on the plane) plus records
-                // a degraded gauge admitted but never journaled. The
-                // latter died with the shard's memory: book them as shed
-                // crash loss, not as rejections.
-                let gap = offered - admits - orphans;
-                let lost = unjournaled.min(gap);
-                self.retired.offered += offered;
-                self.retired.served += run.serves.len() as u64;
-                self.retired.rejected += gap - lost;
-                self.retired.shed += run.sheds.len() as u64 + lost;
-                self.crash_loss += lost;
-                if let Some(r) = &replica {
-                    let _ = std::fs::remove_file(r); // consumed
-                }
-                return (queue, lost);
-            }
+        if let Some(r) = &replica {
+            let _ = std::fs::remove_file(r); // consumed
         }
-        // Bounded-loss reconciliation (replication off, or a double
-        // failure damaged every copy): the best surviving prefix's last
-        // ledger plus its exact journaled sheds.
+        for (run, _) in &runs {
+            self.resume_seqs_past(run);
+        }
+        // A damaged copy is a *detected* liar: fsync ordering and CRCs
+        // guarantee a clean scan covers every commit, so only clean
+        // copies are trusted for exact replay. Among them, the first with
+        // the most records wins: a shard that spent time at ReplicaOnly
+        // has a primary that scans clean but legitimately trails its
+        // replica.
+        let records = |run: &RecoveredRun| run.admits.len() + run.serves.len() + run.sheds.len();
+        let clean = runs.iter().filter(|(_, clean)| *clean);
+        let best = clean.min_by_key(|(run, _)| Reverse(records(run)));
+        if let Some((run, _)) = best {
+            // Exact replay: every admit was journaled before its
+            // enqueue, every serve/shed after its dequeue, so the
+            // queue at death is the admit multiset minus both.
+            let mut done: BTreeSet<(String, u64)> = run
+                .serves
+                .iter()
+                .map(|s| (s.tenant.clone(), s.seq))
+                .chain(run.sheds.iter().map(|(_, t, _, seq)| (t.clone(), *seq)))
+                .collect();
+            let queue: Vec<ChunkAdmit> = run
+                .admits
+                .iter()
+                .filter(|a| !done.remove(&(a.tenant.clone(), a.seq)))
+                .cloned()
+                .collect();
+            // What survives in `done` is the *orphans*: serves/sheds
+            // journaled with no matching admit record, because the
+            // admit landed while the gauge was degraded past
+            // journaling and the serve after a climb. Each orphan is
+            // a chunk inside the routed-minus-admits gap that is
+            // already evidenced as served or shed — booking it as a
+            // rejection too would double-count it.
+            let orphans = done.len() as u64;
+            let admits = run.admits.len() as u64;
+            // `routed` is exact in-process; after a coordinator
+            // restart it comes from a checkpoint and may lag the
+            // journal — the max is the tightest honest offer count
+            // (post-checkpoint refusals are then under-counted on
+            // both sides of the identity, which stays exact).
+            let offered = routed.max(admits + orphans);
+            // The rest of the gap is front-door refusals (and, after
+            // a restart, offers that died on the plane) plus records
+            // a degraded gauge admitted but never journaled. The
+            // latter died with the shard's memory: book them as shed
+            // crash loss, not as rejections.
+            let gap = offered - admits - orphans;
+            let lost = unjournaled.min(gap);
+            self.retired.offered += offered;
+            self.retired.served += run.serves.len() as u64;
+            self.retired.rejected += gap - lost;
+            self.retired.shed += run.sheds.len() as u64 + lost;
+            self.crash_loss += lost;
+            return (queue, lost);
+        }
+        // Bounded-loss reconciliation (a double failure damaged every
+        // copy): the best surviving prefix's last ledger plus its exact
+        // journaled sheds.
         let mut ledger = LedgerRecord::default();
         let mut exact_shed = 0;
-        for path in &candidates {
-            let Ok((run, _defects)) = recover_run(path) else { continue };
+        for (run, _) in &runs {
             let l = run.ledgers.last().copied().unwrap_or_default();
             let s = run.sheds.len() as u64;
             let known = l.served + l.rejected + s + l.migrated;
@@ -1114,10 +1105,28 @@ impl FleetCoordinator {
         self.retired.shed += exact_shed + loss;
         self.retired.migrated += ledger.migrated;
         self.crash_loss += loss;
-        if let Some(r) = &replica {
-            let _ = std::fs::remove_file(r);
-        }
         (Vec::new(), loss)
+    }
+
+    /// Moves each tenant's next seq past every seq `run` journaled as
+    /// admitted, served or shed: those seqs are spent. In process this
+    /// never moves anything (the coordinator issued them all); after a
+    /// restart it covers what the shards took after the checkpoint.
+    fn resume_seqs_past(&mut self, run: &RecoveredRun) {
+        let spent = run
+            .admits
+            .iter()
+            .map(|a| (a.tenant.as_str(), a.seq))
+            .chain(run.serves.iter().map(|s| (s.tenant.as_str(), s.seq)))
+            .chain(run.sheds.iter().map(|(_, t, _, seq)| (t.as_str(), *seq)));
+        for (tenant, seq) in spent {
+            match self.tenant_seq.get_mut(tenant) {
+                Some(next) => *next = (*next).max(seq + 1),
+                None => {
+                    self.tenant_seq.insert(Arc::from(tenant), seq + 1);
+                }
+            }
+        }
     }
 
     /// Re-offers crashed shard `id`'s replayed queue along each tenant's
@@ -1314,8 +1323,10 @@ impl FleetCoordinator {
     /// gone), and brings up fresh shards under the same ids. A drain the
     /// crash interrupted dies with it: the draining shard is reconciled
     /// and restarted like the others. The ring is rebuilt from the same
-    /// seed and shard set, so every tenant keeps its home; per-tenant
-    /// seqs resume where the checkpoint left them.
+    /// seed and shard set, so every tenant keeps its home. Each tenant's
+    /// seqs resume past both the checkpoint's value and every seq a
+    /// journal copy shows admitted, served or shed after it, so no chunk
+    /// the old process served is numbered again.
     ///
     /// # Errors
     ///
@@ -1386,19 +1397,9 @@ impl FleetCoordinator {
         // Reconcile against the *full* ring (the replicas were shipped
         // under it), collect the replayed queues, and only re-offer once
         // fresh shards exist to take them.
-        let followers: Vec<(u32, Option<u32>, u64)> = live
-            .iter()
-            .map(|(id, routed)| {
-                let f = if coord.cfg.replicated() {
-                    coord.ring.successor_shard(*id)
-                } else {
-                    None
-                };
-                (*id, f, *routed)
-            })
-            .collect();
-        let mut queues = Vec::with_capacity(followers.len());
-        for (id, follower, routed) in followers {
+        let mut queues = Vec::with_capacity(live.len());
+        for &(id, routed) in &live {
+            let follower = coord.ring.successor_shard(id);
             // A restart lost every in-memory counter, the unjournaled
             // count included; the journal's account is the floor.
             let (queue, loss) = coord.reconcile_books(id, follower, routed, 0);
@@ -1512,23 +1513,6 @@ mod tests {
         assert!(s.conserves(), "{s:?}");
         assert_eq!(s.crash_loss, 0, "replicated failover is lossless: {s:?}");
         assert!(s.recovered > 0, "{s:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn without_replication_a_kill_books_honest_loss() {
-        let dir = scratch("kill-bare");
-        let mut cfg = small(4);
-        cfg.replicas = 0;
-        let mut c = FleetCoordinator::new(cfg, &dir).unwrap();
-        let ts = tenants(24);
-        feed(&mut c, &ts, 0..100, 2);
-        let event = c.kill_shard(1, 100);
-        assert_eq!(event.recovered, 0, "{event:?}");
-        assert!(event.crash_loss > 0, "a kill with queued work must book loss: {event:?}");
-        let s = c.stats();
-        assert!(s.conserves(), "{s:?}");
-        assert_eq!(s.recovered, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,7 +16,7 @@
 //! | [`FleetCoordinator`] | routing, leases, health, failover, conservation | [`coordinator`] |
 //! | [`FleetService`] | real sessions per shard, brown-out spill-over | [`service`] |
 //! | [`LoadProfile`] | deterministic diurnal/bursty load for the perf baseline | [`loadgen`] |
-//! | [`FleetConfig`] | `EMOLEAK_SHARDS`, `EMOLEAK_FLEET_SEED`, `EMOLEAK_NET*` tuning | [`config`] |
+//! | [`FleetConfig`] | fleet tuning; `EMOLEAK_SHARDS` and `EMOLEAK_NET` override it | [`config`] |
 //! | [`SimNet`] | the one coordinator↔shard path: faults, at-least-once, dedup | [`transport`] |
 //!
 //! Two invariants carry the whole design:

@@ -3,7 +3,7 @@
 //! Placement must be three things at once:
 //!
 //! 1. **deterministic** — the ring is a pure function of
-//!    `(EMOLEAK_FLEET_SEED, live shard set)`, never of insertion order or
+//!    `(FleetConfig::seed, live shard set)`, never of insertion order or
 //!    wall clock, so two coordinators (or one coordinator before and after
 //!    a restart) agree on every tenant's home;
 //! 2. **balanced** — each shard owns many small arcs (virtual nodes) of

@@ -59,7 +59,7 @@ pub struct ShardHealth {
     /// Contained panics the shard survives before dying.
     pub restart_budget: u32,
     /// Whether the shard's replica is latched (a ship failed and no scrub
-    /// has repaired it yet). Always `false` with replication off.
+    /// has repaired it yet). Always `false` for a follower-less shard.
     pub replica_latched: bool,
     /// The shard's storage durability level. [`DurabilityLevel::Durable`]
     /// whenever the disk gauge is unarmed (or the shard is retired).
@@ -135,12 +135,12 @@ impl Shard {
     /// (truncating any previous segment — each fleet run owns its
     /// segments).
     ///
-    /// `journal_chunks` turns on per-chunk admit/serve records (the exact
-    /// replay that makes crash failover lossless); `follower` names the
+    /// Every shard journals per-chunk admit/serve/shed records (the exact
+    /// replay that makes crash failover lossless). `follower` names the
     /// shard whose node hosts this shard's synchronous replica, or `None`
-    /// for an unreplicated shard. The two are independent: a replicated
-    /// fleet journals chunks even on a momentarily follower-less shard, so
-    /// a process kill with the disk intact still replays exactly.
+    /// when the ring has no other shard; a follower-less shard still
+    /// journals chunks, so a process kill with the disk intact still
+    /// replays exactly.
     ///
     /// `disk` carries this shard's (already reseeded) fault plan and the
     /// durability-gauge tuning. An unarmed plan puts the shard on the real
@@ -160,7 +160,6 @@ impl Shard {
         admission: AdmissionConfig,
         restart_budget: u32,
         ledger_every: u64,
-        journal_chunks: bool,
         follower: Option<u32>,
         disk: DiskConfig,
         lease_until: u64,
@@ -179,10 +178,8 @@ impl Shard {
             )?,
             None => DurableSink::create_with(&journal_path, vfs, gauge)?,
         };
-        let mut ctrl = AdmissionController::new(admission).with_durable(sink.clone());
-        if journal_chunks {
-            ctrl = ctrl.with_chunk_journal();
-        }
+        let ctrl =
+            AdmissionController::new(admission).with_durable(sink.clone()).with_chunk_journal();
         Ok(Shard {
             id,
             state: ShardState::Active,
@@ -216,12 +213,12 @@ impl Shard {
         &self.journal_path
     }
 
-    /// The shard hosting this shard's replica, when replication is on.
+    /// The shard hosting this shard's replica, when it has a follower.
     pub fn follower(&self) -> Option<u32> {
         self.follower
     }
 
-    /// The replica segment's path, when replication is on.
+    /// The replica segment's path, when the shard has a follower.
     pub fn replica_path(&self) -> Option<PathBuf> {
         self.sink.replica_path()
     }
@@ -244,7 +241,7 @@ impl Shard {
     /// One anti-entropy scrub pass: CRC-verify the replica against the
     /// primary and read-repair any lag or divergence. Returns the defects
     /// found (detection plus repair, or a damaged primary's own defect);
-    /// empty for a healthy or unreplicated shard. See
+    /// empty for a healthy or follower-less shard. See
     /// [`DurableSink::scrub_replica`].
     pub fn scrub(&self) -> Vec<Defect> {
         self.sink.scrub_replica()
@@ -534,7 +531,7 @@ mod tests {
 
     fn shard(dir: &Path) -> Shard {
         let disk = DiskConfig::default();
-        Shard::new(0, dir, AdmissionConfig::default(), 2, 10, false, None, disk, u64::MAX).unwrap()
+        Shard::new(0, dir, AdmissionConfig::default(), 2, 10, None, disk, u64::MAX).unwrap()
     }
 
     #[test]
@@ -594,7 +591,6 @@ mod tests {
             AdmissionConfig::default(),
             2,
             10,
-            true,
             Some(1),
             DiskConfig::default(),
             u64::MAX,
@@ -647,7 +643,7 @@ mod tests {
             },
         };
         let mut s =
-            Shard::new(0, &dir, AdmissionConfig::default(), 2, 10, false, None, disk, u64::MAX)
+            Shard::new(0, &dir, AdmissionConfig::default(), 2, 10, None, disk, u64::MAX)
                 .unwrap();
         assert_eq!(s.durability_level(), DurabilityLevel::Durable);
         for now in 0..=10 {

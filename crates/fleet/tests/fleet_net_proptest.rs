@@ -80,10 +80,11 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = FleetConfig {
             shards: 4,
-            replicas: 1,
+            // Reseeds the ring placement and the plane's fault draws.
+            seed,
             ledger_every: 10,
             scrub_every: 10,
-            net: NetConfig { profile, seed, lease_ticks: 6, dedup_window: 64 },
+            net: NetConfig { profile, lease_ticks: 6 },
             admission: AdmissionConfig {
                 mem_budget: u64::MAX / 2,
                 tenant_rps: 1_000_000,

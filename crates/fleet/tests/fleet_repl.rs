@@ -1,7 +1,7 @@
 //! Replication contract tests at the fleet boundary: zero-loss crash
 //! failover must be byte-identical for any worker count, a double failure
-//! must book honest loss, and replication must be invisible on the clean
-//! path (same served stream with `replicas = 1` and `replicas = 0`).
+//! must book honest loss, and a restarted coordinator must never number a
+//! served chunk again.
 //!
 //! The thread-identity check uses `emoleak_exec::with_threads`, the same
 //! mechanism the determinism suites use elsewhere: the identical campaign
@@ -12,6 +12,7 @@
 use emoleak_admission::AdmissionConfig;
 use emoleak_exec::with_threads;
 use emoleak_fleet::{FailoverKind, FleetConfig, FleetCoordinator, FleetStats};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -21,10 +22,9 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn config(replicas: u32) -> FleetConfig {
+fn config() -> FleetConfig {
     FleetConfig {
         shards: 4,
-        replicas,
         ledger_every: 10,
         scrub_every: 10,
         admission: AdmissionConfig {
@@ -42,18 +42,14 @@ fn tenants(n: usize) -> Vec<String> {
 }
 
 /// One deterministic campaign: 120 capacity-starved ticks, a mid-run hard
-/// kill (when `kill` is set), then a full drain. Returns the served
-/// stream in served order plus the final counters.
-fn campaign(
-    dir: &std::path::Path,
-    replicas: u32,
-    kill: bool,
-) -> (Vec<(String, u64, u64)>, FleetStats, Vec<FailoverKind>) {
-    let mut c = FleetCoordinator::new(config(replicas), dir).unwrap();
+/// kill, then a full drain. Returns the served stream in served order
+/// plus the final counters.
+fn campaign(dir: &std::path::Path) -> (Vec<(String, u64, u64)>, FleetStats, Vec<FailoverKind>) {
+    let mut c = FleetCoordinator::new(config(), dir).unwrap();
     let ts = tenants(16);
     let mut served = Vec::new();
     for now in 0..120 {
-        if kill && now == 60 {
+        if now == 60 {
             // Starved queues guarantee work in flight at the kill.
             let event = c.kill_shard(1, now);
             assert_eq!(event.kind, FailoverKind::Crash);
@@ -80,8 +76,8 @@ fn campaign(
 fn replicated_crash_failover_is_lossless_and_thread_identical() {
     let dir1 = scratch("t1");
     let dir4 = scratch("t4");
-    let (served1, stats1, kinds1) = with_threads(1, || campaign(&dir1, 1, true));
-    let (served4, stats4, kinds4) = with_threads(4, || campaign(&dir4, 1, true));
+    let (served1, stats1, kinds1) = with_threads(1, || campaign(&dir1));
+    let (served4, stats4, kinds4) = with_threads(4, || campaign(&dir4));
 
     // The replication contract: a crash with a clean journal copy loses
     // nothing, and the replay is visible in the books.
@@ -102,7 +98,7 @@ fn replicated_crash_failover_is_lossless_and_thread_identical() {
 #[test]
 fn double_failure_books_honest_loss_not_a_silent_leak() {
     let dir = scratch("double");
-    let mut c = FleetCoordinator::new(config(1), &dir).unwrap();
+    let mut c = FleetCoordinator::new(config(), &dir).unwrap();
     let ts = tenants(16);
     for now in 0..60 {
         for t in &ts {
@@ -123,24 +119,40 @@ fn double_failure_books_honest_loss_not_a_silent_leak() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The restart drill: a checkpoint at tick 4, five more ticks that serve
+/// `amber`'s seqs 5..=9, then a restart from that checkpoint, ten more
+/// offers and a drain. A recovered fleet that resumed seqs at the
+/// checkpoint's value would number and serve 5..=9 a second time.
 #[test]
-fn replication_is_invisible_on_the_clean_path() {
-    let dir_on = scratch("clean-on");
-    let dir_off = scratch("clean-off");
-    let (served_on, stats_on, kinds_on) = campaign(&dir_on, 1, false);
-    let (served_off, stats_off, kinds_off) = campaign(&dir_off, 0, false);
-
-    assert!(kinds_on.is_empty() && kinds_off.is_empty(), "clean runs fail nothing over");
-    assert_eq!(
-        served_on, served_off,
-        "replication changed what was served on the clean path"
-    );
-    assert_eq!(stats_on, stats_off, "replication changed the clean-path books");
-    assert_eq!(stats_on.crash_loss, 0);
-    assert_eq!(stats_on.recovered, 0);
-
-    std::fs::remove_dir_all(&dir_on).unwrap();
-    std::fs::remove_dir_all(&dir_off).unwrap();
+fn a_recovered_coordinator_never_reissues_a_served_seq() {
+    let dir = scratch("recover-seqs");
+    let cfg = FleetConfig { shards: 2, ..config() };
+    let mut c = FleetCoordinator::new(cfg.clone(), &dir).unwrap();
+    let mut served = Vec::new();
+    for now in 0..10 {
+        c.offer("amber", 64, now).unwrap();
+        served.extend(c.advance(now, 1, &[]).into_iter().map(|q| (q.tenant, q.seq)));
+        if now == 4 {
+            c.checkpoint(now).unwrap();
+        }
+    }
+    drop(c);
+    let mut c = FleetCoordinator::recover(cfg, &dir).unwrap();
+    let mut now = 10;
+    while now < 20 || !c.stats().settled() {
+        assert!(now < 100, "the drain never settled: {:?}", c.stats());
+        if now < 20 {
+            c.offer("amber", 64, now).unwrap();
+        }
+        served.extend(c.advance(now, 1, &[]).into_iter().map(|q| (q.tenant, q.seq)));
+        now += 1;
+    }
+    let mut seen = BTreeSet::new();
+    let twice: Vec<_> = served.iter().filter(|chunk| !seen.insert(*chunk)).collect();
+    assert!(twice.is_empty(), "served twice after the restart: {twice:?}");
+    assert_eq!(served.len(), 20, "every offer is served once: {served:?}");
+    assert!(c.stats().conserves(), "{:?}", c.stats());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Every file the fleet left under `dir` (primary and replica journals,
@@ -187,13 +199,13 @@ impl Observed {
     }
 }
 
-/// A replicated 4-shard campaign driven from the calling thread, so its
+/// A 4-shard campaign driven from the calling thread, so its
 /// `advance` calls are top-level parallel regions. Even ticks are quiet:
 /// one tenant offers, one shard is busy and the tick runs inline. Odd
 /// ticks are bursts: every shard's tenant offers, every shard is busy and
 /// the tick fans out. Every tick serves all it queued.
 fn quiet_and_burst_campaign(dir: &std::path::Path) -> Observed {
-    let mut c = FleetCoordinator::new(config(1), dir).unwrap();
+    let mut c = FleetCoordinator::new(config(), dir).unwrap();
     let homes = one_tenant_per_shard(&c);
     let mut served = Vec::new();
     for now in 0..120 {

@@ -33,10 +33,9 @@ fn scratch(name: &str) -> PathBuf {
 fn config(profile: NetProfileKind) -> FleetConfig {
     FleetConfig {
         shards: 4,
-        replicas: 1,
         ledger_every: 10,
         scrub_every: 10,
-        net: NetConfig { profile, seed: 7, lease_ticks: 6, dedup_window: 1024 },
+        net: NetConfig { profile, lease_ticks: 6 },
         admission: AdmissionConfig {
             mem_budget: u64::MAX / 2,
             tenant_rps: 1_000_000,

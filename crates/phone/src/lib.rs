@@ -55,9 +55,7 @@ pub use android::{BatchingSpec, SamplingPolicy, ThermalThrottle};
 pub use chassis::{ChassisModel, ResonantMode};
 pub use device::{DeviceProfile, SpeakerKind, SpeakerSpec};
 pub use faults::{FaultLog, FaultProfile, TimedTrace};
-pub use replay::{
-    ChunkValidator, ChunkedReplay, FlakyReplay, InputDefect, ReplayChunk, SourceDropout,
-};
+pub use replay::{ChunkValidator, ChunkedReplay, InputDefect, ReplayChunk};
 pub use session::{LabeledSpan, RecordingSession, SessionTrace};
 
 use rand::Rng;

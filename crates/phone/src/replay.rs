@@ -6,10 +6,10 @@
 //! and reads occasionally fail transiently (binder hiccups, listener
 //! re-registration after a foreground change). [`ChunkedReplay`] turns a
 //! recorded [`SessionTrace`] into exactly that shape — fixed-size chunks in
-//! playback order, tagged with their labeled window — and [`FlakyReplay`]
-//! layers seeded transient read failures on top with *at-least-once*
-//! delivery: a failed read retains its chunk, so a retried call returns the
-//! same samples and the replayed stream loses nothing.
+//! playback order, tagged with their labeled window. Transient read
+//! failures are layered on at the stream level
+//! (`emoleak_stream::FlakySource`), and [`ChunkValidator`] rejects hostile
+//! chunks before they reach DSP.
 
 use crate::session::SessionTrace;
 
@@ -78,24 +78,6 @@ impl<L: Clone> Iterator for ChunkedReplay<'_, L> {
         Some(chunk)
     }
 }
-
-/// A transient sensor-read failure. The read can simply be retried: the
-/// source retained the chunk and will deliver it on the next successful
-/// call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceDropout {
-    /// How many consecutive reads have failed at this stream position
-    /// (1 on the first failure).
-    pub attempt: u32,
-}
-
-impl core::fmt::Display for SourceDropout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "transient sensor read failure (attempt {})", self.attempt)
-    }
-}
-
-impl std::error::Error for SourceDropout {}
 
 /// A hostile or corrupt condition in an incoming sample stream, detected
 /// *before* the data reaches DSP.
@@ -288,71 +270,6 @@ impl<L> SessionTrace<L> {
     }
 }
 
-/// A [`ChunkedReplay`] whose reads transiently fail with a seeded
-/// probability — the HAL-flakiness counterpart to the channel-level
-/// [`FaultProfile`](crate::FaultProfile).
-///
-/// Failures are *transient and lossless*: a failing [`FlakyReplay::read`]
-/// keeps the chunk it would have delivered, and the retried read returns
-/// exactly that chunk. Draining the source therefore yields the same chunk
-/// sequence as the clean replay regardless of where failures land, and the
-/// failure pattern is a pure function of `seed` (one `splitmix64` draw per
-/// read attempt), so every run is reproducible.
-#[derive(Debug, Clone)]
-pub struct FlakyReplay<'a, L> {
-    inner: ChunkedReplay<'a, L>,
-    fail_rate: f64,
-    seed: u64,
-    draws: u64,
-    pending: Option<ReplayChunk<L>>,
-    attempt: u32,
-}
-
-impl<'a, L: Clone> FlakyReplay<'a, L> {
-    /// Wraps `inner` so each read fails with probability `fail_rate`
-    /// (clamped to `[0, 0.95]` — a source that never succeeds would make
-    /// liveness unfalsifiable), deterministically in `seed`.
-    pub fn new(inner: ChunkedReplay<'a, L>, fail_rate: f64, seed: u64) -> Self {
-        FlakyReplay {
-            inner,
-            fail_rate: fail_rate.clamp(0.0, 0.95),
-            seed,
-            draws: 0,
-            pending: None,
-            attempt: 0,
-        }
-    }
-
-    /// Reads the next chunk: `Ok(None)` at end of stream, or a retryable
-    /// [`SourceDropout`].
-    ///
-    /// # Errors
-    ///
-    /// Fails transiently with probability `fail_rate` per call; the chunk
-    /// is retained and returned by the next successful call.
-    pub fn read(&mut self) -> Result<Option<ReplayChunk<L>>, SourceDropout> {
-        if self.pending.is_none() {
-            self.pending = self.inner.next();
-            if self.pending.is_none() {
-                // End of stream is delivered reliably: a dropout here
-                // would be indistinguishable from a wedged source.
-                return Ok(None);
-            }
-        }
-        let mut stream = emoleak_exec::derive_seed(self.seed, self.draws);
-        let roll = emoleak_exec::splitmix64(&mut stream);
-        self.draws += 1;
-        // 53-bit mantissa → uniform in [0, 1).
-        let uniform = (roll >> 11) as f64 / (1u64 << 53) as f64;
-        if uniform < self.fail_rate {
-            self.attempt += 1;
-            return Err(SourceDropout { attempt: self.attempt });
-        }
-        self.attempt = 0;
-        Ok(self.pending.take())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,46 +318,6 @@ mod tests {
         let st = session();
         let n = st.chunks(0).take(1000).count();
         assert!(n < 1000, "chunking must terminate");
-    }
-
-    #[test]
-    fn flaky_replay_is_lossless_and_deterministic() {
-        let st = session();
-        let clean: Vec<_> = st.chunks(4).collect();
-        let drain = |seed: u64| {
-            let mut flaky = FlakyReplay::new(st.chunks(4), 0.5, seed);
-            let mut out = Vec::new();
-            let mut dropouts = 0u32;
-            loop {
-                match flaky.read() {
-                    Ok(Some(c)) => out.push(c),
-                    Ok(None) => break,
-                    Err(e) => {
-                        assert!(e.attempt >= 1);
-                        dropouts += 1;
-                        assert!(dropouts < 10_000, "no livelock");
-                    }
-                }
-            }
-            (out, dropouts)
-        };
-        let (a, drops_a) = drain(0xF1);
-        assert_eq!(a, clean, "retries must not lose or duplicate chunks");
-        assert!(drops_a > 0, "rate 0.5 over {} reads must fail sometimes", clean.len());
-        let (b, drops_b) = drain(0xF1);
-        assert_eq!(a, b);
-        assert_eq!(drops_a, drops_b, "failure pattern is seed-deterministic");
-    }
-
-    #[test]
-    fn fail_rate_zero_matches_plain_iteration() {
-        let st = session();
-        let mut flaky = FlakyReplay::new(st.chunks(7), 0.0, 9);
-        let mut out = Vec::new();
-        while let Some(c) = flaky.read().expect("rate 0 never fails") {
-            out.push(c);
-        }
-        assert_eq!(out, st.chunks(7).collect::<Vec<_>>());
     }
 
     #[test]
@@ -532,24 +409,5 @@ mod tests {
         let d = InputDefect::NonMonotonicTimestamp { window: 3, previous: 64, observed: 8 };
         let msg = d.to_string();
         assert!(msg.contains('3') && msg.contains("64") && msg.contains('8'), "{msg}");
-    }
-
-    #[test]
-    fn consecutive_failures_count_attempts() {
-        let st = session();
-        // Rate clamps at 0.95, so a long run still terminates; attempts
-        // must count up through a failure burst and reset on success.
-        let mut flaky = FlakyReplay::new(st.chunks(4), 1.0, 3);
-        let mut max_attempt = 0;
-        let mut reads = 0usize;
-        loop {
-            match flaky.read() {
-                Ok(Some(_)) => reads += 1,
-                Ok(None) => break,
-                Err(e) => max_attempt = max_attempt.max(e.attempt),
-            }
-        }
-        assert_eq!(reads, st.chunks(4).count());
-        assert!(max_attempt >= 2, "bursts of consecutive dropouts occur");
     }
 }

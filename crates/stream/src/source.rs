@@ -5,8 +5,8 @@
 //! repo ships replay sources backed by the phone simulator
 //! ([`ReplaySource`]), including fault-injected recordings, plus a
 //! [`FlakySource`] decorator that makes any source fail transiently with a
-//! seeded probability (the stream-level counterpart of
-//! [`emoleak_phone::FlakyReplay`]).
+//! seeded probability (the HAL-flakiness counterpart of the channel-level
+//! [`emoleak_phone::FaultProfile`]).
 
 use emoleak_core::online::RecordedCampaign;
 use emoleak_phone::replay::{ChunkValidator, ReplayChunk};
