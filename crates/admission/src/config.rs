@@ -10,10 +10,10 @@
 //! | `EMOLEAK_MEM_BUDGET` | fleet byte budget for queued work | 64 MiB |
 //! | `EMOLEAK_TENANT_RPS` | per-tenant offered-chunk rate limit | 200/s |
 
-use crate::breaker::BreakerConfig;
 use crate::codel::CodelConfig;
 use emoleak_core::EmoleakError;
 use emoleak_exec::parse_checked;
+use emoleak_stream::LadderConfig;
 
 /// Tuning for an [`AdmissionController`](crate::AdmissionController) /
 /// [`FleetGate`](crate::FleetGate).
@@ -31,8 +31,11 @@ pub struct AdmissionConfig {
     pub tenant_burst: u64,
     /// CoDel shedding tuning for the shared ingest queue.
     pub codel: CodelConfig,
-    /// Fleet circuit-breaker tuning.
-    pub breaker: BreakerConfig,
+    /// Fleet circuit-breaker tuning: the [`FleetState`] ladder's streaks
+    /// and cooldown, 3/10/5 by default.
+    ///
+    /// [`FleetState`]: emoleak_core::admission::FleetState
+    pub breaker: LadderConfig,
 }
 
 impl Default for AdmissionConfig {
@@ -44,7 +47,9 @@ impl Default for AdmissionConfig {
             tenant_rps: 200,
             tenant_burst: 50,
             codel: CodelConfig::default(),
-            breaker: BreakerConfig::default(),
+            // recover_after ≫ degrade_after: falling is easy, climbing back
+            // is earned — the same hysteresis shape as the session ladder.
+            breaker: LadderConfig { degrade_after: 3, recover_after: 10, cooldown: 5 },
         }
     }
 }

@@ -23,7 +23,6 @@
 //! the [`ServiceLog`] and, when a [`DurableSink`] is attached, in the
 //! write-ahead journal.
 
-use crate::breaker::FleetBreaker;
 use crate::bulkhead::Bulkhead;
 use crate::codel::{Codel, CodelVerdict};
 use crate::config::AdmissionConfig;
@@ -31,7 +30,7 @@ use crate::tokens::TokenBucket;
 use emoleak_core::admission::{AdmissionError, FleetState};
 use emoleak_stream::durable::{ChunkAdmit, ChunkServe, DurableSink};
 use emoleak_stream::gauge::ByteGauge;
-use emoleak_stream::ladder::LevelCap;
+use emoleak_stream::ladder::{DegradationLadder, LevelCap, Transition};
 use emoleak_stream::log::{ServiceEvent, ServiceLog};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -108,7 +107,8 @@ pub struct AdmissionController {
     memory: Arc<ByteGauge>,
     cap: Arc<LevelCap>,
     codel: Codel,
-    breaker: FleetBreaker,
+    /// The fleet breaker: walks [`FleetState`] on the overload signal.
+    breaker: DegradationLadder<FleetState>,
     queue: VecDeque<QueuedChunk>,
     log: ServiceLog,
     durable: Option<DurableSink>,
@@ -126,7 +126,7 @@ impl AdmissionController {
         AdmissionController {
             sessions: Bulkhead::new(cfg.max_sessions),
             codel: Codel::new(cfg.codel),
-            breaker: FleetBreaker::new(cfg.breaker),
+            breaker: DegradationLadder::new(cfg.breaker, FleetState::Healthy),
             cfg,
             tenants: BTreeMap::new(),
             memory: Arc::new(ByteGauge::new()),
@@ -174,7 +174,7 @@ impl AdmissionController {
 
     /// The current fleet state.
     pub fn fleet_state(&self) -> FleetState {
-        self.breaker.state()
+        self.breaker.level()
     }
 
     /// The configuration the controller runs with.
@@ -206,7 +206,7 @@ impl AdmissionController {
     /// [`AdmissionError::FleetSaturated`] / [`AdmissionError::TenantSaturated`]
     /// when a bulkhead is full.
     pub fn open_session(&mut self, tenant: &str, now: u64) -> Result<(), AdmissionError> {
-        if !self.breaker.state().admits_sessions() {
+        if !self.breaker.level().admits_sessions() {
             self.reject(tenant, now, AdmissionError::BrownedOut)?;
         }
         if self.sessions.in_flight() >= self.sessions.limit() {
@@ -304,7 +304,7 @@ impl AdmissionController {
         now: u64,
         seq: u64,
     ) -> Result<(), AdmissionError> {
-        if self.breaker.state() == FleetState::BrownOut {
+        if self.breaker.level() == FleetState::BrownOut {
             return Err(AdmissionError::BrownedOut);
         }
         if !self.tenant(tenant).bucket.try_take(now) {
@@ -404,7 +404,8 @@ impl AdmissionController {
             .map_or(0, |c| now.saturating_sub(c.enqueued));
         let mem_strained = self.memory.charged() > self.cfg.mem_budget / 2;
         let overloaded = head_sojourn > self.cfg.codel.target || mem_strained;
-        if let Some((from, to)) = self.breaker.observe(overloaded) {
+        let step = self.breaker.observe(overloaded, FleetState::Healthy);
+        if let Some(Transition { from, to }) = step {
             self.cap.set(to.level_cap());
             if let Some(sink) = &self.durable {
                 sink.record_fleet_transition(now, from, to);

@@ -11,7 +11,7 @@
 //! | one tenant floods the front door | per-tenant token buckets | [`tokens`] |
 //! | one tenant hoards every slot | per-tenant + global bulkheads | [`bulkhead`] |
 //! | queues hide standing latency | deterministic CoDel shedding | [`codel`] |
-//! | the whole fleet saturates | circuit breaker driving the shared [`LevelCap`](emoleak_stream::LevelCap) | [`breaker`] |
+//! | the whole fleet saturates | circuit breaker (a [`DegradationLadder`](emoleak_stream::DegradationLadder) over [`FleetState`](emoleak_core::admission::FleetState)) driving the shared [`LevelCap`](emoleak_stream::LevelCap) | [`controller`] |
 //! | unbounded buffering | global byte budget ([`ByteGauge`](emoleak_stream::ByteGauge)) | [`controller`] |
 //!
 //! Everything is deterministic: time is a logical tick the caller
@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod bulkhead;
 pub mod codel;
 pub mod config;
@@ -39,7 +38,6 @@ pub mod controller;
 pub mod gate;
 pub mod tokens;
 
-pub use breaker::{BreakerConfig, FleetBreaker};
 pub use bulkhead::Bulkhead;
 pub use codel::{Codel, CodelConfig, CodelVerdict};
 pub use config::AdmissionConfig;

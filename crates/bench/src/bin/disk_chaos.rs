@@ -33,7 +33,9 @@
 //! The grid, its knobs (`EMOLEAK_CHAOS_SEVERITIES`, default `0,1,2`;
 //! `EMOLEAK_CHAOS_SEEDS`, default 2), the fleet tuning, the final drain
 //! and the report live in `emoleak_bench::chaos`; `EMOLEAK_SHARDS` sizes
-//! the fleet. Exits non-zero if any run violates the contract.
+//! the fleet and `EMOLEAK_NET` picks its message plane (`ideal` by
+//! default, `lossy`, `chaotic`). Exits non-zero if any run violates the
+//! contract.
 
 use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::admission::DurabilityLevel;
@@ -144,11 +146,11 @@ struct DriveOutcome {
 
 fn drive(
     spec: &Cell<Scenario>,
-    shards: u32,
+    env: &FleetConfig,
     disk: DiskConfig,
     dir: &std::path::Path,
 ) -> Result<DriveOutcome, String> {
-    let cfg = FleetConfig { disk, ..chaos::fleet_config(shards) };
+    let cfg = FleetConfig { disk, ..chaos::fleet_config(env) };
     let mut violations = Vec::new();
     let mut coord =
         FleetCoordinator::new(cfg, dir).map_err(|e| format!("fleet dir unusable: {e}"))?;
@@ -221,12 +223,12 @@ fn check_chain(
 
 fn simulate(
     spec: &Cell<Scenario>,
-    shards: u32,
+    env: &FleetConfig,
     dir: &std::path::Path,
     violations: &mut Vec<String>,
 ) -> Result<Fields, String> {
     let disk = spec.scenario.disk(spec.severity, spec.seed);
-    let out = drive(spec, shards, disk, dir.join("armed").as_path())?;
+    let out = drive(spec, env, disk, dir.join("armed").as_path())?;
     violations.extend(out.violations);
     check_chain(&out.transitions, violations);
 
@@ -234,7 +236,7 @@ fn simulate(
         // The armed-but-quiet control: re-run the identical schedule on
         // the unarmed OsVfs path and demand indistinguishability, down
         // to the journal bytes.
-        let bare = drive(spec, shards, DiskConfig::default(), dir.join("bare").as_path())
+        let bare = drive(spec, env, DiskConfig::default(), dir.join("bare").as_path())
             .map_err(|e| format!("unarmed control: {e}"))?;
         violations.extend(bare.violations.iter().map(|v| format!("unarmed control: {v}")));
         if out.stats != bare.stats {
@@ -246,7 +248,7 @@ fn simulate(
         if out.digest != bare.digest {
             violations.push("a quiet nemesis changed what was served".to_string());
         }
-        for id in 0..shards {
+        for id in 0..env.shards {
             let armed = std::fs::read(shard_journal_path(&dir.join("armed"), id));
             let plain = std::fs::read(shard_journal_path(&dir.join("bare"), id));
             match (armed, plain) {
@@ -377,15 +379,15 @@ fn level_name(level: DurabilityLevel) -> &'static str {
 
 fn main() -> Result<(), EmoleakError> {
     println!("Disk chaos: ENOSPC ramps, EIO storms, fsync stalls, and the durability ladder");
-    // EMOLEAK_SHARDS comes through the fleet config; each grid cell arms
-    // its own disk.
-    let shards = FleetConfig::from_env()?.shards;
+    // EMOLEAK_SHARDS and EMOLEAK_NET come through the fleet config; each
+    // grid cell arms its own disk.
+    let env = FleetConfig::from_env()?;
     let grid = chaos::grid(&SCENARIOS, 0xD15C, &[0.0, 1.0, 2.0], 2)?;
     // Order-preserving parallel map: the record order — and therefore the
     // JSON bytes — is the grid order under any EMOLEAK_THREADS.
     let records = par_map_indexed(&grid, |i, cell| {
         chaos::run_cell("disk_chaos", i, cell.fields("scenario"), |dir, violations| {
-            simulate(cell, shards, dir, violations)
+            simulate(cell, &env, dir, violations)
         })
     });
     let mut level_ticks = [0u64; 4];
@@ -404,7 +406,7 @@ fn main() -> Result<(), EmoleakError> {
     ];
     chaos::finish(
         "disk_chaos",
-        &[("shards", shards.into())],
+        &[("shards", env.shards.into())],
         &records,
         &summary,
         &[

@@ -249,7 +249,7 @@ fn simulate(
     violations: &mut Vec<String>,
     failover_wall: &mut Duration,
 ) -> Result<Fields, String> {
-    let cfg = FleetConfig { net: env.net, ..chaos::fleet_config(env.shards) };
+    let cfg = chaos::fleet_config(env);
     // A deliberately faulty plane (`EMOLEAK_NET=lossy|chaotic`) weakens
     // the exact-replay expectations: part of a pre-kill burst can still
     // be in flight when the shard dies, and in-flight chunks are

@@ -28,12 +28,13 @@
 //! default 2) and the report live in `emoleak_bench::chaos`. Exits
 //! non-zero if any run violates the contract.
 
-use emoleak_admission::{AdmissionConfig, AdmissionController, BreakerConfig, CodelConfig};
+use emoleak_admission::{AdmissionConfig, AdmissionController, CodelConfig};
 use emoleak_bench::chaos::{self, Cell, Fields, Json};
 use emoleak_core::admission::{AdmissionError, FleetState};
 use emoleak_core::EmoleakError;
 use emoleak_exec::{derive_seed, par_map_indexed, splitmix64};
 use emoleak_stream::durable::{recover_run, DurableSink};
+use emoleak_stream::LadderConfig;
 
 const TICKS: u64 = 1800;
 const TENANTS: [&str; 4] = ["flood", "amber", "brook", "coral"];
@@ -66,7 +67,7 @@ impl Scenario {
             tenant_rps: 100_000,
             tenant_burst: 1_000,
             codel: CodelConfig { target: 5, interval: 50 },
-            breaker: BreakerConfig { trip_after: 3, recover_after: 10, cooldown: 5 },
+            breaker: LadderConfig { degrade_after: 3, recover_after: 10, cooldown: 5 },
         };
         match self {
             Scenario::LoadRamp => base,
@@ -80,14 +81,14 @@ impl Scenario {
             // shedding rather than the brown-out front door.
             Scenario::SlowConsumer => AdmissionConfig {
                 codel: CodelConfig { target: 5, interval: 25 },
-                breaker: BreakerConfig { trip_after: 200, recover_after: 10, cooldown: 5 },
+                breaker: LadderConfig { degrade_after: 200, recover_after: 10, cooldown: 5 },
                 ..base
             },
             // severity shapes the load, not the limits; the patient breaker
             // keeps the byte budget the binding constraint.
             Scenario::MemoryPressure => AdmissionConfig {
                 mem_budget: 4096,
-                breaker: BreakerConfig { trip_after: 50, recover_after: 10, cooldown: 5 },
+                breaker: LadderConfig { degrade_after: 50, recover_after: 10, cooldown: 5 },
                 ..base
             },
         }

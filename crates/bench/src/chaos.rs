@@ -313,14 +313,20 @@ fn plain(value: &Json) -> String {
     }
 }
 
-/// The fleet tuning every fleet-chaos run starts from: `shards` shards,
-/// generous rate limits (floods are shaped by the byte budget and the
-/// breaker), a short ledger cadence so crash reconciliation stays tight,
-/// and a short scrub cadence so every shard's replica is verified a few
-/// times within a run (round-robin over the fleet).
-pub fn fleet_config(shards: u32) -> FleetConfig {
-    let mut cfg =
-        FleetConfig { shards, ledger_every: 10, scrub_every: 10, ..FleetConfig::default() };
+/// The fleet tuning every fleet-chaos run starts from: the shard count and
+/// message plane of `env` (the fleet's environment knobs, `EMOLEAK_SHARDS`
+/// and `EMOLEAK_NET`), generous rate limits (floods are shaped by the byte
+/// budget and the breaker), a short ledger cadence so crash reconciliation
+/// stays tight, and a short scrub cadence so every shard's replica is
+/// verified a few times within a run (round-robin over the fleet).
+pub fn fleet_config(env: &FleetConfig) -> FleetConfig {
+    let mut cfg = FleetConfig {
+        shards: env.shards,
+        net: env.net,
+        ledger_every: 10,
+        scrub_every: 10,
+        ..FleetConfig::default()
+    };
     cfg.admission.mem_budget = 1 << 16;
     cfg.admission.tenant_rps = 1_000_000;
     cfg.admission.tenant_burst = 1_000_000;

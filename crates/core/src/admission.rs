@@ -14,6 +14,7 @@
 //! [`Verdict`]: crate::online::Verdict
 
 use crate::online::InferenceLevel;
+use crate::rung::Rung;
 
 /// The fleet-wide overload state, best first. Ordered like
 /// [`InferenceLevel`]: a *greater* state is a *worse* one, so hysteresis
@@ -33,35 +34,20 @@ pub enum FleetState {
     BrownOut,
 }
 
-impl FleetState {
-    /// All states, best first.
-    pub const ALL: [FleetState; 4] = [
+impl Rung for FleetState {
+    const ALL: &'static [FleetState] = &[
         FleetState::Healthy,
         FleetState::Degraded,
         FleetState::Saturated,
         FleetState::BrownOut,
     ];
 
-    /// One state worse (saturates at [`FleetState::BrownOut`]).
-    #[must_use]
-    pub fn worse(self) -> FleetState {
-        match self {
-            FleetState::Healthy => FleetState::Degraded,
-            FleetState::Degraded => FleetState::Saturated,
-            _ => FleetState::BrownOut,
-        }
+    fn index(self) -> usize {
+        self as usize
     }
+}
 
-    /// One state better (saturates at [`FleetState::Healthy`]).
-    #[must_use]
-    pub fn better(self) -> FleetState {
-        match self {
-            FleetState::BrownOut => FleetState::Saturated,
-            FleetState::Saturated => FleetState::Degraded,
-            _ => FleetState::Healthy,
-        }
-    }
-
+impl FleetState {
     /// The cheapest inference rung this state still permits. A session
     /// classifies at the *worse* of its own ladder's rung and this cap.
     pub fn level_cap(self) -> InferenceLevel {
@@ -115,36 +101,20 @@ pub enum DurabilityLevel {
     RefuseWrites,
 }
 
-impl DurabilityLevel {
-    /// All levels, best first. Index order is the wire coding used by the
-    /// journal's durability-transition records.
-    pub const ALL: [DurabilityLevel; 4] = [
+impl Rung for DurabilityLevel {
+    const ALL: &'static [DurabilityLevel] = &[
         DurabilityLevel::Durable,
         DurabilityLevel::ReplicaOnly,
         DurabilityLevel::MemoryOnly,
         DurabilityLevel::RefuseWrites,
     ];
 
-    /// One level worse (saturates at [`DurabilityLevel::RefuseWrites`]).
-    #[must_use]
-    pub fn worse(self) -> DurabilityLevel {
-        match self {
-            DurabilityLevel::Durable => DurabilityLevel::ReplicaOnly,
-            DurabilityLevel::ReplicaOnly => DurabilityLevel::MemoryOnly,
-            _ => DurabilityLevel::RefuseWrites,
-        }
+    fn index(self) -> usize {
+        self as usize
     }
+}
 
-    /// One level better (saturates at [`DurabilityLevel::Durable`]).
-    #[must_use]
-    pub fn better(self) -> DurabilityLevel {
-        match self {
-            DurabilityLevel::RefuseWrites => DurabilityLevel::MemoryOnly,
-            DurabilityLevel::MemoryOnly => DurabilityLevel::ReplicaOnly,
-            _ => DurabilityLevel::Durable,
-        }
-    }
-
+impl DurabilityLevel {
     /// Whether this level still accepts new emissions at all.
     pub fn accepts_writes(self) -> bool {
         self != DurabilityLevel::RefuseWrites
@@ -334,7 +304,7 @@ mod tests {
 
     #[test]
     fn only_brownout_closes_admission() {
-        for state in FleetState::ALL {
+        for &state in FleetState::ALL {
             assert_eq!(state.admits_sessions(), state != FleetState::BrownOut);
         }
     }

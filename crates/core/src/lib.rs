@@ -18,6 +18,8 @@
 //! - [`report`] — result-table rendering for the Table III–VII binaries.
 //! - [`mitigation`] — the defenses of §VI: the Android 200 Hz cap, the 1 Hz
 //!   high-pass ablation (Table I), and sensor damping/relocation.
+//! - [`rung`] — the order and index coding shared by the three degradation
+//!   ladders (inference level, fleet state, durability level).
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod mitigation;
 pub mod online;
 pub mod pipeline;
 pub mod report;
+pub mod rung;
 pub mod scenario;
 
 pub use admission::{AdmissionError, DurabilityLevel, FleetState, VerdictMeta};
@@ -55,6 +58,7 @@ pub use pipeline::{
     evaluate_feature_grid, evaluate_features, evaluate_spectrograms, ClassifierKind,
     HarvestResult, Protocol,
 };
+pub use rung::Rung;
 pub use scenario::{AttackScenario, Setting};
 
 #[cfg(test)]
@@ -74,6 +78,7 @@ pub mod prelude {
         HarvestResult, Protocol,
     };
     pub use crate::report::ResultTable;
+    pub use crate::rung::Rung;
     pub use crate::scenario::{AttackScenario, Setting};
     pub use emoleak_features::FeatureDataset;
     pub use emoleak_ml::eval::Evaluation;

@@ -19,6 +19,7 @@
 
 use crate::error::{ClipContext, EmoleakError};
 use crate::pipeline::{cnn_train_config, cnn_width_divisor, HarvestResult};
+use crate::rung::Rung;
 use crate::scenario::AttackScenario;
 use emoleak_features::regions::{Region, RegionDetector};
 use emoleak_features::spectrogram::SpectrogramGenerator;
@@ -242,9 +243,8 @@ pub enum InferenceLevel {
     Shed,
 }
 
-impl InferenceLevel {
-    /// All rungs, best first.
-    pub const ALL: [InferenceLevel; 5] = [
+impl Rung for InferenceLevel {
+    const ALL: &'static [InferenceLevel] = &[
         InferenceLevel::Cnn,
         InferenceLevel::CnnInt8,
         InferenceLevel::Classical,
@@ -252,26 +252,8 @@ impl InferenceLevel {
         InferenceLevel::Shed,
     ];
 
-    /// One rung cheaper (saturates at [`InferenceLevel::Shed`]).
-    #[must_use]
-    pub fn degraded(self) -> InferenceLevel {
-        match self {
-            InferenceLevel::Cnn => InferenceLevel::CnnInt8,
-            InferenceLevel::CnnInt8 => InferenceLevel::Classical,
-            InferenceLevel::Classical => InferenceLevel::EnergyOnly,
-            _ => InferenceLevel::Shed,
-        }
-    }
-
-    /// One rung better (saturates at [`InferenceLevel::Cnn`]).
-    #[must_use]
-    pub fn recovered(self) -> InferenceLevel {
-        match self {
-            InferenceLevel::Shed => InferenceLevel::EnergyOnly,
-            InferenceLevel::EnergyOnly => InferenceLevel::Classical,
-            InferenceLevel::Classical => InferenceLevel::CnnInt8,
-            _ => InferenceLevel::Cnn,
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -587,20 +569,15 @@ mod tests {
     #[test]
     fn ladder_levels_order_and_saturate() {
         use InferenceLevel::*;
-        assert_eq!(Cnn.degraded(), CnnInt8);
-        assert_eq!(CnnInt8.degraded(), Classical);
-        assert_eq!(Classical.degraded(), EnergyOnly);
-        assert_eq!(EnergyOnly.degraded(), Shed);
-        assert_eq!(Shed.degraded(), Shed);
-        assert_eq!(Shed.recovered(), EnergyOnly);
-        assert_eq!(Classical.recovered(), CnnInt8);
-        assert_eq!(CnnInt8.recovered(), Cnn);
-        assert_eq!(Cnn.recovered(), Cnn);
-        // degraded/recovered walk ALL in order, one rung at a time.
-        for pair in InferenceLevel::ALL.windows(2) {
-            assert_eq!(pair[0].degraded(), pair[1]);
-            assert_eq!(pair[1].recovered(), pair[0]);
-        }
+        assert_eq!(Cnn.worse(), CnnInt8);
+        assert_eq!(CnnInt8.worse(), Classical);
+        assert_eq!(Classical.worse(), EnergyOnly);
+        assert_eq!(EnergyOnly.worse(), Shed);
+        assert_eq!(Shed.worse(), Shed);
+        assert_eq!(Shed.better(), EnergyOnly);
+        assert_eq!(Classical.better(), CnnInt8);
+        assert_eq!(CnnInt8.better(), Cnn);
+        assert_eq!(Cnn.better(), Cnn);
         assert!(Cnn < CnnInt8 && CnnInt8 < Classical && Classical < EnergyOnly && EnergyOnly < Shed);
     }
 

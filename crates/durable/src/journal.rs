@@ -116,9 +116,8 @@ pub(crate) fn encode_record(kind: u8, seq: u64, data: &[u8]) -> Vec<u8> {
 /// of the last whole record. Allocates only to describe damage.
 ///
 /// The one copy of the framing rules: [`Journal::open`] truncates to the
-/// returned offset, [`Journal::scan`] checks bytes read once by its caller
-/// (the scrubber, and [`Journal::verify`]), and the ship codec in
-/// [`crate::ship`] decodes segments with it.
+/// returned offset, and [`Journal::scan`] checks bytes read once by its
+/// caller (the scrubber, and [`Journal::verify`]).
 pub(crate) fn scan_frames<'a>(
     bytes: &'a [u8],
     start: usize,

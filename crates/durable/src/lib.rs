@@ -41,8 +41,6 @@ pub const JOURNAL_VERSION: u16 = 1;
 pub const SNAPSHOT_VERSION: u16 = 1;
 /// Current manifest container version (`manifest.bin`).
 pub const MANIFEST_VERSION: u16 = 1;
-/// Current ship segment version (replication transfer container).
-pub const SHIP_VERSION: u16 = 1;
 
 pub use atomic::{temp_path, write_atomic, write_atomic_with};
 pub use campaign::{
@@ -50,10 +48,7 @@ pub use campaign::{
 };
 pub use error::{Defect, DurableError};
 pub use journal::{Frame, Journal, Record, JOURNAL_MAGIC};
-pub use ship::{
-    compare_streams, decode_segment, encode_segment, rebuild_journal, rebuild_journal_with,
-    StreamDiff, SHIP_MAGIC,
-};
+pub use ship::{compare_streams, rebuild_journal_with, StreamDiff};
 pub use snapshot::{
     decode_container, encode_container, read_container, read_container_with, write_container,
     write_container_with,

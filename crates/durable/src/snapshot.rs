@@ -14,9 +14,10 @@
 //! A future-versioned file therefore gets the version error even when its
 //! body would not checksum under today's rules.
 //!
-//! Containers are replaced only via [`write_atomic`], so a reader sees
-//! either the previous complete container or the new one — but external
-//! damage (bit rot, manual truncation) is still caught by the CRC.
+//! Containers are replaced only via [`write_atomic`](crate::write_atomic),
+//! so a reader sees either the previous complete container or the new
+//! one — but external damage (bit rot, manual truncation) is still caught
+//! by the CRC.
 
 use crate::atomic::write_atomic_with;
 use crate::error::DurableError;

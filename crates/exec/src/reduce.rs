@@ -6,8 +6,9 @@
 //! therefore make campaign statistics — and through z-score normalization,
 //! every logistic-regression gradient trained on them — depend on thread
 //! scheduling. The pipeline's rule, enforced by convention and documented by
-//! [`tests`]: parallel stages *produce* per-index values; floats are only
-//! ever *combined* by one sequential left fold over the index order.
+//! this module's tests: parallel stages *produce* per-index values; floats
+//! are only ever *combined* by one sequential left fold over the index
+//! order.
 
 /// Sums `values` by a strict left fold in iteration order.
 ///

@@ -91,6 +91,7 @@ use crate::shard::{
 use crate::transport::{Delivery, Msg, NetStats, NodeId, SimNet};
 use emoleak_admission::{AdmissionStats, QueuedChunk};
 use emoleak_core::admission::{AdmissionError, DurabilityLevel, FleetState};
+use emoleak_core::Rung;
 use emoleak_durable::{Dec, Defect, DurableError, Enc, Journal};
 use emoleak_exec::{derive_seed, par_map_vec_indexed};
 use emoleak_stream::durable::{recover_run, ChunkAdmit, LedgerRecord, RecoveredRun};
@@ -790,9 +791,7 @@ impl FleetCoordinator {
         for shard in &mut self.shards {
             if shard.state() == ShardState::Active && self.ring.contains(shard.id()) {
                 let level = shard.durability_level();
-                if let Some(idx) = DurabilityLevel::ALL.iter().position(|l| *l == level) {
-                    self.durability_level_ticks[idx] += 1;
-                }
+                self.durability_level_ticks[level.index()] += 1;
                 if let Some(health) = shard.health_change(level) {
                     let msg = Msg::Health { health: Box::new(health) };
                     self.net.send(NodeId::Shard(shard.id()), NodeId::Coordinator, msg, now);

@@ -20,7 +20,7 @@ const TREMOR_CORNER_HZ: f64 = 12.0;
 ///
 /// The noise has two components:
 /// - pink (`1/f`) tremor with standard deviation `std`, band-limited below
-///   [`TREMOR_CORNER_HZ`],
+///   `TREMOR_CORNER_HZ` (12 Hz),
 /// - a slow sinusoidal sway (0.2–1.2 Hz) with amplitude `2·std` and random
 ///   phase, modeling arm movement during a call.
 pub fn add_handheld_noise<R: Rng + ?Sized>(

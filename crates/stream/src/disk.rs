@@ -6,25 +6,28 @@
 //! every durable operation's outcome (error / success, stall ticks charged,
 //! free space remaining) and walks the shard through
 //! [`DurabilityLevel::Durable`] → [`DurabilityLevel::ReplicaOnly`] →
-//! [`DurabilityLevel::MemoryOnly`] → [`DurabilityLevel::RefuseWrites`]
-//! one rung at a time, with the same asymmetric hysteresis as the
-//! inference [`DegradationLadder`](crate::ladder::DegradationLadder):
+//! [`DurabilityLevel::MemoryOnly`] → [`DurabilityLevel::RefuseWrites`] on
+//! the [`DegradationLadder`] that also runs the inference ladder and the
+//! fleet breaker. The gauge adds two rules of its own:
 //!
-//! - **Degradation is immediate-ish**: `degrade_after` *consecutive* failed
-//!   operations drop one rung. Cooldown never blocks degradation.
-//! - **Recovery is conservative**: `recover_after` consecutive clean
-//!   operations climb one rung, and only after the post-shift cooldown has
+//! - **What counts as a miss**: a failed operation, or one that charged at
+//!   least `stall_miss` stall ticks even though it succeeded. Misses and
+//!   clean operations feed the ladder's streaks: `degrade_after`
+//!   consecutive misses drop one rung, and `recover_after` consecutive
+//!   clean operations climb one rung once the post-shift cooldown has
 //!   drained. A flapping disk stays degraded.
 //! - **Watermarks are a floor, not a streak**: free space below
 //!   `low_water` pins the shard at [`DurabilityLevel::MemoryOnly`] or
 //!   worse; below `refuse_water` it pins at
-//!   [`DurabilityLevel::RefuseWrites`]. Watermark floors apply instantly
-//!   (a full disk must not need three failed appends to notice) and hold
-//!   recovery down until space frees up.
+//!   [`DurabilityLevel::RefuseWrites`]. The floor is the ladder's best
+//!   allowed rung, so it applies instantly (a full disk must not need
+//!   three failed appends to notice) and holds recovery down until space
+//!   frees up.
 //!
 //! The gauge is pure bookkeeping — no I/O, no clock reads — so a replayed
 //! sequence of outcomes produces a byte-identical transition history.
 
+use crate::ladder::{DegradationLadder, LadderConfig, Transition};
 use emoleak_core::admission::DurabilityLevel;
 
 /// One observed durable-operation outcome, as fed to [`DiskGauge::observe`].
@@ -54,15 +57,11 @@ impl DiskOutcome {
 ///
 /// Plain `Eq` data so it can ride inside a fleet config compared against
 /// its default by the strict-env test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskGaugeConfig {
-    /// Consecutive failed operations before dropping one rung.
-    pub degrade_after: u32,
-    /// Consecutive clean operations before climbing one rung.
-    pub recover_after: u32,
-    /// Operations after any shift during which recovery is frozen
-    /// (degradation is never frozen).
-    pub cooldown: u32,
+    /// Streak and cooldown tuning of the durability ladder (3/8/4 by
+    /// default).
+    pub ladder: LadderConfig,
     /// Free space (bytes) below which the shard is pinned at
     /// [`DurabilityLevel::MemoryOnly`] or worse.
     pub low_water: u64,
@@ -78,9 +77,7 @@ pub struct DiskGaugeConfig {
 impl Default for DiskGaugeConfig {
     fn default() -> Self {
         DiskGaugeConfig {
-            degrade_after: 3,
-            recover_after: 8,
-            cooldown: 4,
+            ladder: LadderConfig::default(),
             low_water: 4096,
             refuse_water: 512,
             stall_miss: 4,
@@ -88,100 +85,35 @@ impl Default for DiskGaugeConfig {
     }
 }
 
-/// One durability transition, `from` strictly better or worse than `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DurabilityTransition {
-    /// The level before.
-    pub from: DurabilityLevel,
-    /// The level after.
-    pub to: DurabilityLevel,
-}
-
 /// The per-shard disk-health state machine.
 #[derive(Debug, Clone)]
 pub struct DiskGauge {
     config: DiskGaugeConfig,
-    level: DurabilityLevel,
-    misses: u32,
-    meets: u32,
-    cooldown_left: u32,
+    ladder: DegradationLadder<DurabilityLevel>,
 }
 
 impl DiskGauge {
     /// A gauge starting at full durability.
     pub fn new(config: DiskGaugeConfig) -> Self {
-        DiskGauge {
-            config,
-            level: DurabilityLevel::Durable,
-            misses: 0,
-            meets: 0,
-            cooldown_left: 0,
-        }
+        let ladder = DegradationLadder::new(config.ladder, DurabilityLevel::Durable);
+        DiskGauge { config, ladder }
     }
 
     /// The current durability level.
     pub fn level(&self) -> DurabilityLevel {
-        self.level
+        self.ladder.level()
     }
 
     /// Feeds one operation outcome; returns the transition if the gauge
     /// moved.
     ///
-    /// Watermark floors are checked first and apply instantly (possibly
-    /// jumping multiple rungs); streak-driven moves go one rung at a time.
-    pub fn observe(&mut self, outcome: DiskOutcome) -> Option<DurabilityTransition> {
-        self.cooldown_left = self.cooldown_left.saturating_sub(1);
-
-        // Watermark floor: a full disk is not a streak, it is a fact.
-        let floor = self.config.floor(outcome.free_space);
-        if floor > self.level {
-            let from = self.level;
-            self.shift(floor);
-            return Some(DurabilityTransition { from, to: floor });
-        }
-
-        let miss = outcome.errored
-            || (self.config.stall_miss > 0 && outcome.stall_ticks >= self.config.stall_miss);
-        if miss {
-            self.meets = 0;
-            self.misses += 1;
-            // Degradation is never blocked by cooldown: a disk that keeps
-            // failing right after a shift must keep falling.
-            if self.misses >= self.config.degrade_after
-                && self.level != DurabilityLevel::RefuseWrites
-            {
-                let from = self.level;
-                let to = self.level.worse();
-                self.shift(to);
-                return Some(DurabilityTransition { from, to });
-            }
-        } else {
-            self.misses = 0;
-            self.meets += 1;
-            if self.meets >= self.config.recover_after
-                && self.cooldown_left == 0
-                && self.level != DurabilityLevel::Durable
-            {
-                let to = self.level.better();
-                // Recovery cannot climb above the watermark floor: clean
-                // appends on a still-full disk do not restore durability.
-                if floor <= to {
-                    let from = self.level;
-                    self.shift(to);
-                    return Some(DurabilityTransition { from, to });
-                }
-                // Hold the streak ready; the climb fires once space frees.
-                self.meets = self.config.recover_after;
-            }
-        }
-        None
-    }
-
-    fn shift(&mut self, to: DurabilityLevel) {
-        self.level = to;
-        self.misses = 0;
-        self.meets = 0;
-        self.cooldown_left = self.config.cooldown;
+    /// A watermark floor worse than the current level applies at once
+    /// (possibly jumping several rungs); streak-driven moves go one rung
+    /// at a time.
+    pub fn observe(&mut self, outcome: DiskOutcome) -> Option<Transition<DurabilityLevel>> {
+        let cfg = &self.config;
+        let miss = outcome.errored || (cfg.stall_miss > 0 && outcome.stall_ticks >= cfg.stall_miss);
+        self.ladder.observe(miss, cfg.floor(outcome.free_space))
     }
 }
 
@@ -203,9 +135,7 @@ mod tests {
 
     fn cfg() -> DiskGaugeConfig {
         DiskGaugeConfig {
-            degrade_after: 3,
-            recover_after: 4,
-            cooldown: 2,
+            ladder: LadderConfig { degrade_after: 3, recover_after: 4, cooldown: 2 },
             low_water: 1000,
             refuse_water: 100,
             stall_miss: 5,
@@ -220,7 +150,7 @@ mod tests {
         }
         assert_eq!(
             g.observe(DiskOutcome::error()),
-            Some(DurabilityTransition { from: Durable, to: ReplicaOnly })
+            Some(Transition { from: Durable, to: ReplicaOnly })
         );
         // Streak resets after a shift; three more misses drop the next rung
         // even though cooldown has not drained (cooldown only gates
@@ -230,14 +160,14 @@ mod tests {
         }
         assert_eq!(
             g.observe(DiskOutcome::error()),
-            Some(DurabilityTransition { from: ReplicaOnly, to: MemoryOnly })
+            Some(Transition { from: ReplicaOnly, to: MemoryOnly })
         );
         for _ in 0..2 {
             assert_eq!(g.observe(DiskOutcome::error()), None);
         }
         assert_eq!(
             g.observe(DiskOutcome::error()),
-            Some(DurabilityTransition { from: MemoryOnly, to: RefuseWrites })
+            Some(Transition { from: MemoryOnly, to: RefuseWrites })
         );
         // The floor is absorbing under continued errors.
         for _ in 0..10 {
@@ -265,7 +195,7 @@ mod tests {
         }
         assert_eq!(g.level(), ReplicaOnly);
         // 4 clean ops would satisfy recover_after, but cooldown (2) eats
-        // into the window: with cooldown_left decremented first, op 4 has
+        // into the window: with the cooldown counted down first, op 4 has
         // cooldown drained and the streak full.
         let mut transitions = Vec::new();
         for _ in 0..4 {
@@ -273,7 +203,7 @@ mod tests {
         }
         assert_eq!(
             transitions,
-            vec![DurabilityTransition { from: ReplicaOnly, to: Durable }]
+            vec![Transition { from: ReplicaOnly, to: Durable }]
         );
         assert_eq!(g.level(), Durable);
     }
@@ -286,7 +216,7 @@ mod tests {
         }
         assert_eq!(g.level(), Durable);
         let t = g.observe(DiskOutcome { errored: false, stall_ticks: 7, free_space: None });
-        assert_eq!(t, Some(DurabilityTransition { from: Durable, to: ReplicaOnly }));
+        assert_eq!(t, Some(Transition { from: Durable, to: ReplicaOnly }));
         // Below-threshold stalls are clean.
         let mut g2 = DiskGauge::new(cfg());
         for _ in 0..10 {
@@ -300,7 +230,7 @@ mod tests {
         let mut g = DiskGauge::new(cfg());
         // Clean op, but the disk is nearly full: the floor applies at once.
         let t = g.observe(DiskOutcome { errored: false, stall_ticks: 0, free_space: Some(999) });
-        assert_eq!(t, Some(DurabilityTransition { from: Durable, to: MemoryOnly }));
+        assert_eq!(t, Some(Transition { from: Durable, to: MemoryOnly }));
         // Still under low_water: clean streaks cannot climb past the floor.
         for _ in 0..20 {
             assert_eq!(
@@ -311,7 +241,7 @@ mod tests {
         assert_eq!(g.level(), MemoryOnly);
         // Space exhausts further: straight to the refuse floor.
         let t = g.observe(DiskOutcome { errored: false, stall_ticks: 0, free_space: Some(50) });
-        assert_eq!(t, Some(DurabilityTransition { from: MemoryOnly, to: RefuseWrites }));
+        assert_eq!(t, Some(Transition { from: MemoryOnly, to: RefuseWrites }));
         // Space frees: the held recovery streak climbs back one rung per
         // observation window.
         let mut seen = Vec::new();
@@ -323,9 +253,9 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                DurabilityTransition { from: RefuseWrites, to: MemoryOnly },
-                DurabilityTransition { from: MemoryOnly, to: ReplicaOnly },
-                DurabilityTransition { from: ReplicaOnly, to: Durable },
+                Transition { from: RefuseWrites, to: MemoryOnly },
+                Transition { from: MemoryOnly, to: ReplicaOnly },
+                Transition { from: ReplicaOnly, to: Durable },
             ]
         );
     }

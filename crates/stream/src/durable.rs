@@ -1,23 +1,30 @@
-//! Durable verdict journaling for the streaming service.
+//! Durable journaling for the streaming service and the fleet's shards.
 //!
 //! A long-lived capture service is routinely killed — by the OS, a battery
-//! manager, or a chaos harness. [`DurableSink`] writes every committed
-//! [`RegionEmission`] and every degradation-ladder [`Transition`] to a
+//! manager, or a chaos harness. [`DurableSink`] writes each event to a
 //! write-ahead journal (`emoleak-durable`) *at the moment it commits*, so a
-//! kill loses at most the region being classified. [`recover_run`] replays
+//! kill loses at most the record being appended: a session's region
+//! emissions and ladder [`Transition`]s, and a shard's fleet-breaker and
+//! disk-gauge transitions, load sheds, chunk admits and serves, ledger
+//! snapshots and fencing stamps. A replicated sink appends each record to
+//! its follower's journal right after the primary. [`recover_run`] replays
 //! a journal — including one torn by a kill mid-append — back into typed
-//! emissions and transitions.
+//! records.
 //!
-//! Journaling happens on the classify worker thread, where an `Err` has no
-//! caller to land in; the sink therefore latches its first failure and
-//! stops journaling, and [`DurableSink::take_error`] surfaces the failure
-//! after the run. Classification itself never blocks on a broken disk.
+//! Appends run inside a session's classify step or a shard's tick, where an
+//! `Err` has no caller to land in. Without a disk gauge the sink therefore
+//! latches its first failure and stops journaling, and
+//! [`DurableSink::take_error`] surfaces the failure after the run; with a
+//! gauge armed, failures walk the sink down the durability ladder instead
+//! ([`crate::disk`]). Classification and admission never block on a broken
+//! disk.
 
-use crate::disk::{DiskGauge, DiskGaugeConfig, DiskOutcome, DurabilityTransition};
+use crate::disk::{DiskGauge, DiskGaugeConfig, DiskOutcome};
 use crate::ladder::Transition;
 use crate::service::RegionEmission;
 use emoleak_core::admission::{DurabilityLevel, FleetState};
 use emoleak_core::online::{InferenceLevel, Verdict};
+use emoleak_core::Rung;
 use emoleak_durable::{
     compare_streams, rebuild_journal_with, Dec, Defect, DurableError, Enc, Journal, OsVfs,
     Record, StreamDiff, Vfs, WireError,
@@ -107,40 +114,31 @@ pub struct ChunkServe {
     pub seq: u64,
 }
 
-fn fleet_code(state: FleetState) -> u8 {
-    FleetState::ALL.iter().position(|s| *s == state).map(|i| i as u8).unwrap_or(u8::MAX)
+/// Encodes a `(clock, from, to)` rung transition: the clock, then each
+/// rung as its [`Rung::index`].
+fn encode_transition<L: Rung>(clock: u64, t: Transition<L>) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.u64(clock).u8(t.from.index() as u8).u8(t.to.index() as u8);
+    enc.into_bytes()
 }
 
-fn fleet_from(code: u8, offset: u64) -> Result<FleetState, WireError> {
-    FleetState::ALL.get(usize::from(code)).copied().ok_or_else(|| WireError {
+/// Decodes a record written by [`encode_transition`].
+fn decode_transition<L: Rung>(data: &[u8]) -> Result<(u64, Transition<L>), WireError> {
+    let mut dec = Dec::new(data);
+    let clock = dec.u64()?;
+    let from = decode_rung(&mut dec)?;
+    let to = decode_rung(&mut dec)?;
+    dec.finish()?;
+    Ok((clock, Transition { from, to }))
+}
+
+/// Reads one rung's index code.
+fn decode_rung<L: Rung>(dec: &mut Dec) -> Result<L, WireError> {
+    let offset = dec.offset();
+    let code = dec.u8()?;
+    L::from_index(usize::from(code)).ok_or_else(|| WireError {
         offset,
-        detail: format!("unknown fleet state code {code}"),
-    })
-}
-
-fn durability_code(level: DurabilityLevel) -> u8 {
-    DurabilityLevel::ALL.iter().position(|l| *l == level).map(|i| i as u8).unwrap_or(u8::MAX)
-}
-
-fn durability_from(code: u8, offset: u64) -> Result<DurabilityLevel, WireError> {
-    DurabilityLevel::ALL.get(usize::from(code)).copied().ok_or_else(|| WireError {
-        offset,
-        detail: format!("unknown durability level code {code}"),
-    })
-}
-
-fn level_code(level: InferenceLevel) -> u8 {
-    InferenceLevel::ALL
-        .iter()
-        .position(|l| *l == level)
-        .map(|i| i as u8)
-        .unwrap_or(u8::MAX)
-}
-
-fn level_from(code: u8, offset: u64) -> Result<InferenceLevel, WireError> {
-    InferenceLevel::ALL.get(usize::from(code)).copied().ok_or_else(|| WireError {
-        offset,
-        detail: format!("unknown inference level code {code}"),
+        detail: format!("unknown {} code {code}", std::any::type_name::<L>()),
     })
 }
 
@@ -150,7 +148,7 @@ fn encode_emission(e: &RegionEmission) -> Vec<u8> {
         .u64(e.start as u64)
         .u64(e.end as u64)
         .u64(e.truth as u64)
-        .u8(level_code(e.verdict.level))
+        .u8(e.verdict.level.index() as u8)
         .u8(u8::from(e.verdict.is_speech))
         .u8(u8::from(e.verdict.label.is_some()))
         .u64(e.verdict.label.unwrap_or(0) as u64)
@@ -165,8 +163,7 @@ fn decode_emission(region: u64, data: &[u8]) -> Result<RegionEmission, WireError
     let start = dec.u64()? as usize;
     let end = dec.u64()? as usize;
     let truth = dec.u64()? as usize;
-    let level_at = dec.offset();
-    let level = level_from(dec.u8()?, level_at)?;
+    let level = decode_rung(&mut dec)?;
     let is_speech = dec.u8()? != 0;
     let has_label = dec.u8()? != 0;
     let label_raw = dec.u64()? as usize;
@@ -183,12 +180,6 @@ fn decode_emission(region: u64, data: &[u8]) -> Result<RegionEmission, WireError
         deadline_missed,
         latency,
     })
-}
-
-fn encode_transition(region: u64, t: Transition) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u64(region).u8(level_code(t.from)).u8(level_code(t.to));
-    enc.into_bytes()
 }
 
 /// The sink's fencing guard: the writer's incarnation token checked
@@ -355,7 +346,7 @@ fn append_gauged(inner: &mut SinkInner, kind: u8, data: &[u8]) {
 /// climb re-enables (its handle may be poisoned by the very faults that
 /// degraded it, and reopen truncates a torn tail), and journal the
 /// transition record best-effort at the *new* level.
-fn apply_transition(inner: &mut SinkInner, tick: u64, t: DurabilityTransition) {
+fn apply_transition(inner: &mut SinkInner, tick: u64, t: Transition<DurabilityLevel>) {
     inner.durability_log.push((tick, t.from, t.to));
     if t.to < t.from {
         if t.to.journals_primary() {
@@ -375,9 +366,7 @@ fn apply_transition(inner: &mut SinkInner, tick: u64, t: DurabilityTransition) {
             }
         }
     }
-    let mut enc = Enc::new();
-    enc.u64(tick).u8(durability_code(t.from)).u8(durability_code(t.to));
-    let data = enc.into_bytes();
+    let data = encode_transition(tick, t);
     let seq = inner.seq;
     if t.to.journals_primary() {
         if inner.journal.append(REC_DURABILITY, seq, &data).is_ok() {
@@ -548,9 +537,7 @@ impl DurableSink {
 
     /// Journals one fleet-breaker transition at logical tick `tick`.
     pub fn record_fleet_transition(&self, tick: u64, from: FleetState, to: FleetState) {
-        let mut enc = Enc::new();
-        enc.u64(tick).u8(fleet_code(from)).u8(fleet_code(to));
-        self.append(REC_FLEET_TRANSITION, &enc.into_bytes());
+        self.append(REC_FLEET_TRANSITION, &encode_transition(tick, Transition { from, to }));
     }
 
     /// Journals one CoDel load shed: `tenant`'s chunk `seq`, queued for
@@ -592,7 +579,7 @@ impl DurableSink {
     /// killed mid-run.
     pub fn finish(&self, regions: u64, final_level: InferenceLevel) {
         let mut enc = Enc::new();
-        enc.u64(regions).u8(level_code(final_level));
+        enc.u64(regions).u8(final_level.index() as u8);
         self.append(REC_RUN_SUMMARY, &enc.into_bytes());
     }
 
@@ -883,30 +870,11 @@ pub fn recover_run(path: &Path) -> Result<(RecoveredRun, Vec<Defect>), DurableEr
                 run.emissions.push(decode_emission(region, &record.data).map_err(corrupt)?);
             }
             REC_TRANSITION => {
-                let mut dec = Dec::new(&record.data);
-                let region = dec.u64().map_err(corrupt)?;
-                let from_at = dec.offset();
-                let from = dec.u8().map_err(corrupt).and_then(|c| {
-                    level_from(c, from_at).map_err(corrupt)
-                })?;
-                let to_at = dec.offset();
-                let to =
-                    dec.u8().map_err(corrupt).and_then(|c| level_from(c, to_at).map_err(corrupt))?;
-                dec.finish().map_err(corrupt)?;
-                run.transitions.push((region, Transition { from, to }));
+                run.transitions.push(decode_transition(&record.data).map_err(corrupt)?);
             }
             REC_FLEET_TRANSITION => {
-                let mut dec = Dec::new(&record.data);
-                let tick = dec.u64().map_err(corrupt)?;
-                let from_at = dec.offset();
-                let from = dec.u8().map_err(corrupt).and_then(|c| {
-                    fleet_from(c, from_at).map_err(corrupt)
-                })?;
-                let to_at = dec.offset();
-                let to =
-                    dec.u8().map_err(corrupt).and_then(|c| fleet_from(c, to_at).map_err(corrupt))?;
-                dec.finish().map_err(corrupt)?;
-                run.fleet_transitions.push((tick, from, to));
+                let (tick, t) = decode_transition(&record.data).map_err(corrupt)?;
+                run.fleet_transitions.push((tick, t.from, t.to));
             }
             REC_LOAD_SHED => {
                 let mut dec = Dec::new(&record.data);
@@ -953,20 +921,8 @@ pub fn recover_run(path: &Path) -> Result<(RecoveredRun, Vec<Defect>), DurableEr
                 run.ledgers.push(ledger);
             }
             REC_DURABILITY => {
-                let mut dec = Dec::new(&record.data);
-                let tick = dec.u64().map_err(corrupt)?;
-                let from_at = dec.offset();
-                let from = dec
-                    .u8()
-                    .map_err(corrupt)
-                    .and_then(|c| durability_from(c, from_at).map_err(corrupt))?;
-                let to_at = dec.offset();
-                let to = dec
-                    .u8()
-                    .map_err(corrupt)
-                    .and_then(|c| durability_from(c, to_at).map_err(corrupt))?;
-                dec.finish().map_err(corrupt)?;
-                run.durability_transitions.push((tick, from, to));
+                let (tick, t) = decode_transition(&record.data).map_err(corrupt)?;
+                run.durability_transitions.push((tick, t.from, t.to));
             }
             REC_FENCE_EPOCH => {
                 let mut dec = Dec::new(&record.data);
@@ -1359,11 +1315,8 @@ mod tests {
         let path = dir.join("run.log");
         {
             let mut j = Journal::create(&path).unwrap();
-            let mut enc = Enc::new();
-            enc.u64(7)
-                .u8(durability_code(DurabilityLevel::ReplicaOnly))
-                .u8(durability_code(DurabilityLevel::Durable));
-            j.append(REC_DURABILITY, 0, &enc.into_bytes()).unwrap();
+            let (from, to) = (DurabilityLevel::ReplicaOnly, DurabilityLevel::Durable);
+            j.append(REC_DURABILITY, 0, &encode_transition(7, Transition { from, to })).unwrap();
         }
         let (run, defects) = recover_run(&path).unwrap();
         assert!(defects.is_empty(), "{defects:?}");
@@ -1402,6 +1355,7 @@ mod tests {
 
     #[test]
     fn gauged_sink_degrades_under_stalls_and_climbs_back_without_latching() {
+        use crate::ladder::LadderConfig;
         use emoleak_durable::{FaultPlan, FaultVfs};
         let dir = scratch("gauge-walk");
         let path = dir.join("run.log");
@@ -1416,9 +1370,7 @@ mod tests {
             ..FaultPlan::quiet(7)
         };
         let gauge = DiskGaugeConfig {
-            degrade_after: 2,
-            recover_after: 2,
-            cooldown: 0,
+            ladder: LadderConfig { degrade_after: 2, recover_after: 2, cooldown: 0 },
             low_water: 0,
             refuse_water: 0,
             stall_miss: 5,

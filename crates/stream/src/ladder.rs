@@ -1,19 +1,33 @@
-//! The deadline-miss degradation ladder.
+//! The degradation ladder: one hysteresis machine for every rung type.
 //!
-//! The online service promises a per-region classification deadline. When
-//! the current rung keeps missing it, a circuit breaker trips the service
-//! one rung down the quality ladder (CNN → int8 CNN → classical →
-//! energy-only → shed); sustained headroom climbs back up — but only after a cooldown,
-//! and only against a much longer streak of met deadlines than the miss
-//! streak that degrades (hysteresis), so the ladder settles instead of
-//! oscillating every few regions.
+//! Three ladders step down under pressure and climb back when it eases:
+//! - the per-session inference ladder. The online service promises a
+//!   per-region classification deadline; when the current rung keeps
+//!   missing it, the session steps one rung down the quality ladder
+//!   (CNN → int8 CNN → classical → energy-only → shed);
+//! - the fleet breaker (`emoleak-admission`), which walks a shard through
+//!   [`FleetState`](emoleak_core::admission::FleetState) on its overload
+//!   signal (standing queue latency, memory pressure);
+//! - the disk gauge ([`crate::disk`]), which walks a shard's storage through
+//!   [`DurabilityLevel`](emoleak_core::admission::DurabilityLevel) on
+//!   failed or stalled durable operations.
+//!
+//! [`DegradationLadder`] is that machine, generic over the [`Rung`] type.
+//! `degrade_after` misses in a row step one rung down, and a cooldown never
+//! delays that: overload must always be escapable. Climbing back one rung
+//! needs a much longer streak of met observations *and* an elapsed
+//! cooldown since the last transition (hysteresis), so the ladder settles
+//! instead of oscillating every few observations. Each observation also
+//! names the best rung currently allowed: a ladder above it jumps straight
+//! down to it, and no streak climbs past it.
 //!
 //! The ladder is a *pure state machine*: time enters only as the boolean
-//! "was the deadline missed", which the service computes (or, in tests,
+//! "was this observation a miss", which the owner computes (or, in tests,
 //! synthesizes). That keeps every transition unit-testable and every chaos
 //! run reproducible.
 
 use emoleak_core::online::InferenceLevel;
+use emoleak_core::Rung;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A shared, fleet-imposed *ceiling* on inference quality.
@@ -27,7 +41,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// quality above what the other allows.
 #[derive(Debug, Default)]
 pub struct LevelCap {
-    // Index into `InferenceLevel::ALL`; 0 (Cnn) caps nothing.
+    // The cap's `Rung::index`; 0 (Cnn) caps nothing.
     code: AtomicU8,
 }
 
@@ -40,15 +54,12 @@ impl LevelCap {
     /// Sets the cheapest rung sessions may exceed — [`InferenceLevel::Cnn`]
     /// lifts the cap, [`InferenceLevel::Shed`] forces every region shed.
     pub fn set(&self, cap: InferenceLevel) {
-        let code = InferenceLevel::ALL.iter().position(|l| *l == cap).unwrap_or(0) as u8;
-        self.code.store(code, Ordering::Relaxed);
+        self.code.store(cap.index() as u8, Ordering::Relaxed);
     }
 
     /// The current cap.
     pub fn get(&self) -> InferenceLevel {
-        InferenceLevel::ALL
-            .get(usize::from(self.code.load(Ordering::Relaxed)))
-            .copied()
+        InferenceLevel::from_index(usize::from(self.code.load(Ordering::Relaxed)))
             .unwrap_or(InferenceLevel::Cnn)
     }
 
@@ -58,14 +69,15 @@ impl LevelCap {
     }
 }
 
-/// Tuning for the degradation circuit breaker.
+/// Tuning for a [`DegradationLadder`]. The session ladder defaults to
+/// 3/8/4; the fleet breaker runs 3/10/5 and the disk gauge 3/8/4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LadderConfig {
-    /// Consecutive deadline misses that trip one rung down.
+    /// Consecutive misses that step one rung down.
     pub degrade_after: u32,
-    /// Consecutive met deadlines that climb one rung up.
+    /// Consecutive met observations that climb one rung up.
     pub recover_after: u32,
-    /// Regions after any transition during which recovery is frozen
+    /// Observations after any transition during which recovery is frozen
     /// (degradation is never frozen — overload must always be escapable).
     pub cooldown: u32,
 }
@@ -80,73 +92,70 @@ impl Default for LadderConfig {
 
 /// A recorded rung change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
+pub struct Transition<L = InferenceLevel> {
     /// The rung before.
-    pub from: InferenceLevel,
+    pub from: L,
     /// The rung after.
-    pub to: InferenceLevel,
+    pub to: L,
 }
 
-/// The degradation state machine. Feed it one [`observe`](DegradationLadder::observe)
-/// per classified region.
+/// The degradation state machine. Feed it one
+/// [`observe`](DegradationLadder::observe) per classified region, breaker
+/// tick or durable operation.
 #[derive(Debug, Clone)]
-pub struct DegradationLadder {
+pub struct DegradationLadder<L = InferenceLevel> {
     config: LadderConfig,
-    level: InferenceLevel,
-    consecutive_misses: u32,
-    consecutive_meets: u32,
+    level: L,
+    misses: u32,
+    meets: u32,
     cooldown_left: u32,
-    best: InferenceLevel,
 }
 
-impl DegradationLadder {
-    /// A ladder starting (and topping out) at `best`.
-    pub fn new(config: LadderConfig, best: InferenceLevel) -> Self {
-        DegradationLadder {
-            config,
-            level: best,
-            consecutive_misses: 0,
-            consecutive_meets: 0,
-            cooldown_left: 0,
-            best,
-        }
+impl<L: Rung> DegradationLadder<L> {
+    /// A ladder starting at `start`.
+    pub fn new(config: LadderConfig, start: L) -> Self {
+        DegradationLadder { config, level: start, misses: 0, meets: 0, cooldown_left: 0 }
     }
 
-    /// The rung the next region should be classified at.
-    pub fn level(&self) -> InferenceLevel {
+    /// The current rung.
+    pub fn level(&self) -> L {
         self.level
     }
 
-    /// Records one region's deadline outcome; returns the transition it
-    /// caused, if any.
-    pub fn observe(&mut self, deadline_missed: bool) -> Option<Transition> {
+    /// Records one observation, a miss or a met one, under the best rung
+    /// currently allowed; returns the transition it caused, if any. A
+    /// ladder above `best_allowed` jumps straight down to it.
+    pub fn observe(&mut self, missed: bool, best_allowed: L) -> Option<Transition<L>> {
         self.cooldown_left = self.cooldown_left.saturating_sub(1);
-        if deadline_missed {
-            self.consecutive_meets = 0;
-            self.consecutive_misses += 1;
-            if self.consecutive_misses >= self.config.degrade_after
-                && self.level != InferenceLevel::Shed
-            {
-                return Some(self.shift(self.level.degraded()));
+        if best_allowed > self.level {
+            return Some(self.shift(best_allowed));
+        }
+        // The streaks saturate: a healthy owner observes forever.
+        if missed {
+            self.meets = 0;
+            self.misses = self.misses.saturating_add(1);
+            let to = self.level.worse();
+            if self.misses >= self.config.degrade_after && to != self.level {
+                return Some(self.shift(to));
             }
         } else {
-            self.consecutive_misses = 0;
-            self.consecutive_meets += 1;
-            if self.consecutive_meets >= self.config.recover_after
+            self.misses = 0;
+            self.meets = self.meets.saturating_add(1);
+            if self.meets >= self.config.recover_after
                 && self.cooldown_left == 0
-                && self.level != self.best
+                && self.level > best_allowed
             {
-                return Some(self.shift(self.level.recovered().max(self.best)));
+                return Some(self.shift(self.level.better()));
             }
         }
         None
     }
 
-    fn shift(&mut self, to: InferenceLevel) -> Transition {
+    fn shift(&mut self, to: L) -> Transition<L> {
         let t = Transition { from: self.level, to };
         self.level = to;
-        self.consecutive_misses = 0;
-        self.consecutive_meets = 0;
+        self.misses = 0;
+        self.meets = 0;
         self.cooldown_left = self.config.cooldown;
         t
     }
@@ -155,95 +164,168 @@ impl DegradationLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use InferenceLevel::*;
+    use emoleak_core::admission::{DurabilityLevel, FleetState};
+    use proptest::prelude::*;
 
-    fn ladder() -> DegradationLadder {
-        DegradationLadder::new(LadderConfig::default(), Cnn)
+    /// Runs the generic `check` once at each rung type.
+    macro_rules! at_every_rung {
+        ($check:ident) => {{
+            $check::<InferenceLevel>();
+            $check::<FleetState>();
+            $check::<DurabilityLevel>();
+        }};
+    }
+
+    fn best<L: Rung>() -> L {
+        L::ALL[0]
+    }
+
+    fn worst<L: Rung>() -> L {
+        L::ALL[L::ALL.len() - 1]
     }
 
     #[test]
     fn misses_trip_one_rung_at_a_time() {
-        let mut l = ladder();
-        assert_eq!(l.observe(true), None);
-        assert_eq!(l.observe(true), None);
-        assert_eq!(l.observe(true), Some(Transition { from: Cnn, to: CnnInt8 }));
-        assert_eq!(l.level(), CnnInt8);
-        // The miss streak resets after a transition.
-        assert_eq!(l.observe(true), None);
-        assert_eq!(l.observe(true), None);
-        assert_eq!(l.observe(true), Some(Transition { from: CnnInt8, to: Classical }));
-        for _ in 0..2 {
-            assert_eq!(l.observe(true), None);
+        fn check<L: Rung>() {
+            let mut l = DegradationLadder::new(LadderConfig::default(), best::<L>());
+            for pair in L::ALL.windows(2) {
+                // The miss streak resets after each transition.
+                assert_eq!(l.observe(true, best()), None);
+                assert_eq!(l.observe(true, best()), None);
+                let step = Transition { from: pair[0], to: pair[1] };
+                assert_eq!(l.observe(true, best()), Some(step));
+                assert_eq!(l.level(), pair[1]);
+            }
+            // The last rung is the floor: further misses change nothing.
+            for _ in 0..10 {
+                assert_eq!(l.observe(true, best()), None);
+            }
+            assert_eq!(l.level(), worst());
         }
-        assert_eq!(l.observe(true), Some(Transition { from: Classical, to: EnergyOnly }));
-        for _ in 0..2 {
-            assert_eq!(l.observe(true), None);
-        }
-        assert_eq!(l.observe(true), Some(Transition { from: EnergyOnly, to: Shed }));
-        // Shed is the floor: further misses change nothing.
-        for _ in 0..10 {
-            assert_eq!(l.observe(true), None);
-        }
-        assert_eq!(l.level(), Shed);
+        at_every_rung!(check);
     }
 
     #[test]
     fn a_met_deadline_resets_the_miss_streak() {
-        let mut l = ladder();
-        l.observe(true);
-        l.observe(true);
-        assert_eq!(l.observe(false), None);
-        assert_eq!(l.observe(true), None);
-        assert_eq!(l.observe(true), None, "streak restarted after the meet");
-        assert_eq!(l.level(), Cnn);
+        fn check<L: Rung>() {
+            let mut l = DegradationLadder::new(LadderConfig::default(), best::<L>());
+            l.observe(true, best());
+            l.observe(true, best());
+            assert_eq!(l.observe(false, best()), None);
+            assert_eq!(l.observe(true, best()), None);
+            assert_eq!(l.observe(true, best()), None, "streak restarted after the meet");
+            assert_eq!(l.level(), best());
+        }
+        at_every_rung!(check);
     }
 
     #[test]
     fn recovery_needs_a_long_streak_and_respects_cooldown() {
-        let cfg = LadderConfig { degrade_after: 2, recover_after: 5, cooldown: 3 };
-        let mut l = DegradationLadder::new(cfg, Cnn);
-        l.observe(true);
-        assert_eq!(l.observe(true).unwrap().to, CnnInt8);
-        // Cooldown: the first `cooldown` meets cannot recover even once the
-        // meet streak is long enough.
-        let mut transitions = Vec::new();
-        for _ in 0..20 {
-            if let Some(t) = l.observe(false) {
-                transitions.push(t);
+        fn check<L: Rung>() {
+            let cfg = LadderConfig { degrade_after: 2, recover_after: 5, cooldown: 3 };
+            let mut l = DegradationLadder::new(cfg, best::<L>());
+            l.observe(true, best());
+            assert_eq!(l.observe(true, best()).unwrap().to, L::ALL[1]);
+            // Cooldown: the first `cooldown` meets cannot recover even once
+            // the meet streak is long enough.
+            let mut transitions = Vec::new();
+            for _ in 0..20 {
+                transitions.extend(l.observe(false, best()));
             }
+            assert_eq!(transitions, vec![Transition { from: L::ALL[1], to: best() }]);
+            // And it never climbs above its best rung.
+            for _ in 0..50 {
+                assert_eq!(l.observe(false, best()), None);
+            }
+            assert_eq!(l.level(), best());
         }
-        assert_eq!(transitions, vec![Transition { from: CnnInt8, to: Cnn }]);
-        assert_eq!(l.level(), Cnn);
-        // And it never climbs above its best rung.
-        for _ in 0..50 {
-            assert_eq!(l.observe(false), None);
-        }
-        assert_eq!(l.level(), Cnn);
+        at_every_rung!(check);
     }
 
     #[test]
     fn degradation_ignores_cooldown() {
         // Overload must always be escapable: a fresh transition's cooldown
         // freezes recovery, never further degradation.
-        let cfg = LadderConfig { degrade_after: 2, recover_after: 4, cooldown: 10 };
-        let mut l = DegradationLadder::new(cfg, Cnn);
-        l.observe(true);
-        l.observe(true); // -> CnnInt8, cooldown 10
-        l.observe(true);
-        assert_eq!(l.observe(true).unwrap().to, Classical);
+        fn check<L: Rung>() {
+            let cfg = LadderConfig { degrade_after: 2, recover_after: 4, cooldown: 10 };
+            let mut l = DegradationLadder::new(cfg, best::<L>());
+            l.observe(true, best());
+            l.observe(true, best()); // -> ALL[1], cooldown 10
+            l.observe(true, best());
+            assert_eq!(l.observe(true, best()).unwrap().to, L::ALL[2]);
+        }
+        at_every_rung!(check);
     }
 
     #[test]
-    fn classical_best_never_climbs_to_cnn() {
-        let cfg = LadderConfig { degrade_after: 1, recover_after: 1, cooldown: 0 };
-        let mut l = DegradationLadder::new(cfg, Classical);
-        assert_eq!(l.observe(true).unwrap().to, EnergyOnly);
-        assert_eq!(l.observe(false).unwrap().to, Classical);
-        assert_eq!(l.observe(false), None, "tops out at its configured best");
+    fn a_ladder_never_climbs_past_the_best_allowed_rung() {
+        fn check<L: Rung>() {
+            let cfg = LadderConfig { degrade_after: 1, recover_after: 1, cooldown: 0 };
+            let top = L::ALL[2];
+            let mut l = DegradationLadder::new(cfg, top);
+            assert_eq!(l.observe(true, top).unwrap().to, L::ALL[3]);
+            assert_eq!(l.observe(false, top).unwrap().to, top);
+            assert_eq!(l.observe(false, top), None, "tops out at the best allowed rung");
+            // A worse best-allowed rung pulls the ladder straight down.
+            assert_eq!(l.observe(false, worst()), Some(Transition { from: top, to: worst() }));
+        }
+        at_every_rung!(check);
+    }
+
+    #[test]
+    fn overload_oscillation_is_bounded_by_hysteresis() {
+        // Under permanent overload (every observation above the last rung
+        // misses), the ladder must spend almost all its time at the bottom,
+        // not flap: the bottom rung always meets, so without hysteresis it
+        // would bounce between the last two rungs every few observations.
+        fn check<L: Rung>() {
+            let mut l = DegradationLadder::new(LadderConfig::default(), best::<L>());
+            let mut transitions = 0;
+            for _ in 0..1000 {
+                let missed = l.level() != worst(); // the bottom rung is always fast
+                if l.observe(missed, best()).is_some() {
+                    transitions += 1;
+                }
+            }
+            // The walk down, then bounded cycling between the last two
+            // rungs: each full cycle needs ≥ recover_after + degrade_after
+            // observations.
+            let cfg = LadderConfig::default();
+            let cycle = (cfg.recover_after + cfg.degrade_after) as usize;
+            assert!(
+                transitions <= L::ALL.len() - 1 + 2 * (1000 / cycle + 1),
+                "{transitions} transitions in 1000 observations is flapping"
+            );
+        }
+        at_every_rung!(check);
+    }
+
+    #[test]
+    fn streaks_saturate_instead_of_overflowing() {
+        fn check<L: Rung>() {
+            let calm = |level| DegradationLadder {
+                config: LadderConfig::default(),
+                level,
+                misses: u32::MAX,
+                meets: u32::MAX,
+                cooldown_left: 0,
+            };
+            let mut l = calm(best::<L>());
+            assert_eq!(l.observe(false, best()), None);
+            assert_eq!(l.meets, u32::MAX);
+            let mut l = calm(worst::<L>());
+            assert_eq!(l.observe(true, best()), None);
+            assert_eq!(l.misses, u32::MAX);
+            // A saturated meet streak still climbs.
+            let mut l = calm(worst::<L>());
+            assert_eq!(l.observe(false, best()).map(|t| t.to), Some(worst::<L>().better()));
+        }
+        at_every_rung!(check);
     }
 
     #[test]
     fn level_cap_only_ever_cheapens() {
+        use InferenceLevel::*;
         let cap = LevelCap::new();
         assert_eq!(cap.get(), Cnn, "fresh cap restricts nothing");
         assert_eq!(cap.apply(Classical), Classical);
@@ -254,27 +336,61 @@ mod tests {
         assert_eq!(cap.apply(Classical), Classical, "lifting the cap restores the ladder");
     }
 
-    #[test]
-    fn overload_oscillation_is_bounded_by_hysteresis() {
-        // Under permanent overload (every non-shed region misses), the
-        // ladder must spend almost all its time at Shed, not flap: shed
-        // regions always meet the deadline, so without hysteresis it would
-        // bounce Shed ↔ EnergyOnly every few regions.
-        let mut l = ladder();
-        let mut transitions = 0;
-        for _ in 0..1000 {
-            let missed = l.level() != Shed; // shedding is always fast
-            if l.observe(missed).is_some() {
-                transitions += 1;
+    /// Replays `steps` — `(miss selector, best-allowed selector)` pairs —
+    /// and checks every transition against the contract: one step worse
+    /// after `degrade_after` misses in a row, a jump down to the best
+    /// allowed rung, or one step better after `recover_after` meets and
+    /// outside the cooldown; the rung never above the best allowed, and
+    /// always one of `ALL`.
+    fn contract<L: Rung>(cfg: LadderConfig, steps: &[(u32, u32)]) -> Result<(), String> {
+        let mut l = DegradationLadder::new(cfg, best::<L>());
+        let mut allowed = best::<L>();
+        let (mut misses, mut meets, mut since) = (0u32, 0u32, u32::MAX);
+        for &(miss_sel, best_sel) in steps {
+            // A third of the observations miss, and the best allowed rung
+            // moves on a few steps in a hundred, as a disk's free space does.
+            let missed = miss_sel == 0;
+            if let Some(rung) = L::from_index(best_sel as usize) {
+                allowed = rung;
             }
+            let from = l.level();
+            if missed {
+                (misses, meets) = (misses + 1, 0);
+            } else {
+                (misses, meets) = (0, meets + 1);
+            }
+            since = since.saturating_add(1);
+            if let Some(t) = l.observe(missed, allowed) {
+                prop_assert_eq!(t.from, from);
+                let jump = allowed > from && t.to == allowed;
+                let down = missed && misses >= cfg.degrade_after && t.to == from.worse();
+                let up = !missed && meets >= cfg.recover_after && t.to == from.better();
+                prop_assert!(jump || down || up, "unexplained {:?} at {:?}", t, allowed);
+                prop_assert!(allowed <= from || jump, "{:?} skipped the jump to {:?}", t, allowed);
+                if t.to < from {
+                    prop_assert!(since >= cfg.cooldown, "climb {} after a transition", since);
+                }
+                (misses, meets, since) = (0, 0, 0);
+            }
+            prop_assert!(l.level() >= allowed, "{:?} above {:?}", l.level(), allowed);
+            prop_assert_eq!(L::from_index(l.level().index()), Some(l.level()));
         }
-        // 4 rungs down, then bounded Shed↔EnergyOnly cycling: each full
-        // cycle needs ≥ recover_after + degrade_after observations.
-        let cfg = LadderConfig::default();
-        let cycle = (cfg.recover_after + cfg.degrade_after) as usize;
-        assert!(
-            transitions <= 4 + 2 * (1000 / cycle + 1),
-            "{transitions} transitions in 1000 regions is flapping"
-        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_transition_follows_the_ladder_contract(
+            tuning in (0u32..4, 0u32..6, 0u32..5),
+            steps in prop::collection::vec((0u32..3, 0u32..64), 0..200usize),
+        ) {
+            let (degrade_after, recover_after, cooldown) = tuning;
+            let cfg = LadderConfig { degrade_after, recover_after, cooldown };
+            contract::<InferenceLevel>(cfg, &steps)?;
+            contract::<FleetState>(cfg, &steps)?;
+            contract::<DurabilityLevel>(cfg, &steps)?;
+        }
     }
 }

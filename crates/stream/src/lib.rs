@@ -15,7 +15,8 @@
 //! |---|---|---|
 //! | transient source errors | seeded exponential backoff, bounded by the run's deadline | [`retry`] |
 //! | unbounded buffering | one window held at a time, metered on a shared byte gauge | [`service`], [`gauge`] |
-//! | sustained overload | deadline-miss degradation ladder with hysteresis | [`ladder`] |
+//! | sustained overload | deadline-miss degradation ladder with hysteresis, the one machine the fleet breaker and the disk gauge run on too | [`ladder`] |
+//! | a failing disk under the journal | durability ladder fed by every journal append | [`disk`], [`durable`] |
 //! | step panics / stuck runs | per-step panic firewall with a restart budget, run timeout | [`service`] |
 //!
 //! Everything the resilience machinery does is recorded in a deterministic
@@ -35,7 +36,7 @@ pub mod retry;
 pub mod service;
 pub mod source;
 
-pub use disk::{DiskGauge, DiskGaugeConfig, DiskOutcome, DurabilityTransition};
+pub use disk::{DiskGauge, DiskGaugeConfig, DiskOutcome};
 pub use durable::{
     recover_run, ChunkAdmit, ChunkServe, DurableSink, LedgerRecord, RecoveredRun,
     REC_CHUNK_ADMIT, REC_CHUNK_SERVE, REC_DURABILITY, REC_EMISSION, REC_FLEET_TRANSITION,

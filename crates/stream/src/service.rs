@@ -34,6 +34,7 @@ use crate::source::{SampleSource, SourceChunk, SourceError, ValidatingSource};
 use emoleak_core::online::{
     extract_window, InferenceLevel, ModelBundle, RegionFeatures, Verdict,
 };
+use emoleak_core::Rung;
 use emoleak_exec::Deadline;
 use emoleak_features::regions::RegionDetector;
 use emoleak_features::spectrogram::SpectrogramGenerator;
@@ -296,16 +297,6 @@ impl Assembler {
     }
 }
 
-fn level_index(level: InferenceLevel) -> usize {
-    match level {
-        InferenceLevel::Cnn => 0,
-        InferenceLevel::CnnInt8 => 1,
-        InferenceLevel::Classical => 2,
-        InferenceLevel::EnergyOnly => 3,
-        InferenceLevel::Shed => 4,
-    }
-}
-
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -359,6 +350,8 @@ pub(crate) struct SessionCore {
     assembler: Assembler,
     pending: VecDeque<PendingRegion>,
     ladder: DegradationLadder,
+    /// The rung the ladder starts at and never climbs past.
+    best: InferenceLevel,
     log: ServiceLog,
     stats: StreamStats,
     emissions: Vec<RegionEmission>,
@@ -374,12 +367,11 @@ impl SessionCore {
     /// the first defect fails the run as a fatal source error.
     pub(crate) fn new(service: &StreamService, source: Box<dyn SampleSource>) -> Self {
         let cfg = service.config.clone();
+        let best = service.bundle.effective_level(cfg.start_level);
         SessionCore {
             spec_gen: service.bundle.has_cnn().then(SpectrogramGenerator::for_accel),
-            ladder: DegradationLadder::new(
-                cfg.ladder,
-                service.bundle.effective_level(cfg.start_level),
-            ),
+            ladder: DegradationLadder::new(cfg.ladder, best),
+            best,
             deadline: Deadline::within(cfg.run_timeout),
             held: Held { gauge: cfg.memory.clone(), bytes: 0 },
             bundle: Arc::clone(&service.bundle),
@@ -542,17 +534,17 @@ impl SessionCore {
         let t0 = Instant::now();
         let verdict = self.bundle.classify(want, &p.rf);
         let latency = match self.cfg.latency_override {
-            Some(lat) => lat.get(level_index(verdict.level)).copied().unwrap_or_default(),
+            Some(lat) => lat.get(verdict.level.index()).copied().unwrap_or_default(),
             None => t0.elapsed(),
         };
         let missed = latency > self.cfg.deadline;
         self.stats.regions += 1;
         let region = self.stats.regions;
-        self.stats.level_counts[level_index(verdict.level)] += 1;
+        self.stats.level_counts[verdict.level.index()] += 1;
         if missed {
             self.stats.deadline_misses += 1;
         }
-        if let Some(t) = self.ladder.observe(missed) {
+        if let Some(t) = self.ladder.observe(missed, self.best) {
             if let Some(sink) = &self.cfg.durable {
                 sink.record_transition(region, t);
             }

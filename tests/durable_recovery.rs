@@ -8,8 +8,8 @@
 //! is proven against stable on-disk bytes, not bytes this build produced.
 
 use emoleak::durable::{
-    decode_container, decode_segment, encode_container, DurableError, Journal, JOURNAL_MAGIC,
-    JOURNAL_VERSION, SHIP_MAGIC, SHIP_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_container, encode_container, DurableError, Journal, JOURNAL_MAGIC, JOURNAL_VERSION,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
@@ -71,40 +71,6 @@ fn foreign_magic_is_refused_with_typed_format_error() {
         Ok(_) => panic!("a foreign file must not open as a journal"),
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn golden_ship_fixture_bytes_are_the_vnext_header() {
-    // Guards the fixture itself: magic "EMOR", version 2 LE, zero record
-    // count — a complete, well-formed header from one format version
-    // ahead. If this fails, the fixture file was altered — regenerate it,
-    // don't bend the test.
-    let fixture = golden("durable_vnext_ship.bin");
-    assert_eq!(&fixture[..4], SHIP_MAGIC);
-    assert_eq!(
-        fixture,
-        [0x45, 0x4D, 0x4F, 0x52, 0x02, 0x00, 0, 0, 0, 0, 0, 0, 0, 0]
-    );
-    assert_eq!(
-        u16::from_le_bytes([fixture[4], fixture[5]]),
-        SHIP_VERSION + 1,
-        "fixture must stay one version ahead of the current ship format"
-    );
-}
-
-#[test]
-fn vnext_ship_segment_is_refused_with_typed_version_error() {
-    // A replica receiving a segment shipped by a newer build must refuse
-    // it typed — never guess at a record layout it does not know.
-    match decode_segment(&golden("durable_vnext_ship.bin"), "vnext-ship-test") {
-        Err(DurableError::Version { found, supported, path }) => {
-            assert_eq!(found, SHIP_VERSION + 1);
-            assert_eq!(supported, SHIP_VERSION);
-            assert_eq!(path, "vnext-ship-test");
-        }
-        Err(e) => panic!("expected DurableError::Version, got {e}"),
-        Ok(_) => panic!("a future-version ship segment must not decode"),
-    }
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //!   zero bytes;
 //! * the admission layer never panics.
 
-use emoleak::admission::{AdmissionConfig, AdmissionController, BreakerConfig, CodelConfig};
+use emoleak::admission::{AdmissionConfig, AdmissionController, CodelConfig};
+use emoleak::stream::LadderConfig;
 use emoleak::exec::{derive_seed, splitmix64};
 use proptest::prelude::*;
 
@@ -61,7 +62,7 @@ proptest! {
         tenant_rps in 1u64..5_000,
         tenant_burst in 1u64..16,
         mem_budget in 256u64..16_384,
-        trip_after in 1u32..8,
+        degrade_after in 1u32..8,
         ticks in 50u64..300,
         capacity in 0usize..6,
     ) {
@@ -72,7 +73,7 @@ proptest! {
             tenant_rps,
             tenant_burst,
             codel: CodelConfig { target: 5, interval: 30 },
-            breaker: BreakerConfig { trip_after, recover_after: 6, cooldown: 3 },
+            breaker: LadderConfig { degrade_after, recover_after: 6, cooldown: 3 },
         };
         let mut ctrl = AdmissionController::new(cfg.clone());
         let mut held: Vec<&str> = Vec::new();
