@@ -4,9 +4,9 @@
 //! path buys (and catch a regression that would make it pointless).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emoleak_kernels::conv::{conv1d_fast, conv1d_ref, conv2d_fast, conv2d_ref};
+use emoleak_kernels::conv::{conv2d_fast, conv2d_ref};
 use emoleak_kernels::gemm::{gemm_fast, gemm_ref};
-use emoleak_kernels::{Activation, Conv1dScratch, Conv2dScratch};
+use emoleak_kernels::{Activation, Conv2dScratch};
 use std::hint::black_box;
 
 fn filled(n: usize, step: f64) -> Vec<f64> {
@@ -70,36 +70,5 @@ fn bench_conv2d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_conv1d(c: &mut Criterion) {
-    // The feature CNN's first layer shape (24-wide Table-II rows).
-    let (in_ch, l, out_ch, k) = (1usize, 24usize, 16usize, 3usize);
-    let input = filled(in_ch * l, 0.29);
-    let weights = filled(out_ch * in_ch * k, 0.13);
-    let bias = vec![0.01; out_ch];
-    let mut group = c.benchmark_group("conv1d");
-    group.bench_function("reference", |bch| {
-        let mut out = Vec::new();
-        bch.iter(|| {
-            conv1d_ref(
-                black_box(&input), in_ch, l, out_ch, k,
-                &weights, &bias, Activation::Relu, &mut out,
-            );
-            black_box(&out);
-        });
-    });
-    group.bench_function("fast", |bch| {
-        let mut out = Vec::new();
-        let mut scratch = Conv1dScratch::default();
-        bch.iter(|| {
-            conv1d_fast(
-                black_box(&input), in_ch, l, out_ch, k,
-                &weights, &bias, Activation::Relu, &mut scratch, &mut out,
-            );
-            black_box(&out);
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm, bench_conv2d, bench_conv1d);
+criterion_group!(benches, bench_gemm, bench_conv2d);
 criterion_main!(benches);

@@ -112,14 +112,47 @@ mod tests {
         for input in [&map[..], &[0.0; 9][..], &[f64::NAN; 9][..]] {
             for (kh, kw) in [(3, 3), (1, 1), (2, 3)] {
                 let mut cols = Vec::new();
-                im2col_2d(input, 1, 3, 3, kh, kw, &mut cols);
+                im2col_2d(input, &[0], 3, 3, kh, kw, &mut cols);
                 let (after, after_scale) = quantize_symmetric(&cols);
                 let (xq, before_scale) = quantize_symmetric(input);
                 let mut before = Vec::new();
-                im2col_2d(&xq, 1, 3, 3, kh, kw, &mut before);
+                im2col_2d(&xq, &[0], 3, 3, kh, kw, &mut before);
                 assert_eq!(after, before, "{kh}x{kw} on {input:?}");
                 assert_eq!(after_scale.to_bits(), before_scale.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn dropping_zero_planes_keeps_every_accumulator() {
+        use crate::conv::{im2col_2d, lower_live_planes, Conv2dScratch};
+        // Planes 1 and 3 quantize to all zeros (one of them from values
+        // below half a step); the compacted product must give the full
+        // product's i32 sums exactly, with every plane dead too.
+        let (in_ch, h, w, out_ch, kh, kw) = (4, 4, 5, 3, 3, 3);
+        let n = h * w;
+        let x: Vec<f64> = (0..in_ch * n)
+            .map(|i| match i / n {
+                1 => 0.0,
+                3 => 1e-9 * (i % 3) as f64,
+                _ => ((i * 37) % 23) as f64 - 11.0,
+            })
+            .collect();
+        let wf: Vec<f64> =
+            (0..out_ch * in_ch * kh * kw).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
+        let (wq, _) = quantize_symmetric(&wf);
+        let mut scratch = Conv2dScratch::default();
+        for input in [x.clone(), vec![0.0; in_ch * n]] {
+            let (xq, _) = quantize_symmetric(&input);
+            let mut cols = Vec::new();
+            im2col_2d(&xq, &[0, 1, 2, 3], h, w, kh, kw, &mut cols);
+            let mut full = vec![0i32; out_ch * n];
+            gemm_i8(out_ch, in_ch * kh * kw, n, &wq, &cols, &mut full);
+            let (k, a, b) = lower_live_planes(&xq, in_ch, h, w, kh, kw, &wq, &mut scratch);
+            let mut live = vec![0i32; out_ch * n];
+            gemm_i8(out_ch, k, n, a, b, &mut live);
+            assert!(k < in_ch * kh * kw);
+            assert_eq!(live, full);
         }
     }
 

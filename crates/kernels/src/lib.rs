@@ -10,8 +10,10 @@
 //! - [`gemm`] — f64 matrix multiply, as a per-element scalar reference and
 //!   a register-tiled fast path that is **bit-identical** to the reference
 //!   (same additions, same order, same rounding);
-//! - [`conv`] — im2col lowering plus fused conv+bias(+ReLU) kernels for
-//!   the CNN's Conv1d/Conv2d forward passes;
+//! - [`conv`] — im2col lowering of the input planes that are not all
+//!   zero, plus fused conv+bias(+ReLU) kernels for the CNN's Conv2d and
+//!   Conv1d (as `H = 1`) forward passes; the int8 rung lowers through it
+//!   too;
 //! - [`int8`] — symmetric int8 quantization and an i32-accumulating int8
 //!   GEMM backing the `cnn-int8` degradation rung.
 //!
@@ -27,8 +29,16 @@
 //! workspace root, is that on the f64 path the two modes are
 //! **bit-identical** — not merely close. Optimizations are therefore
 //! restricted to ones that preserve the exact sequence of rounded
-//! floating-point operations per output value: blocking/reordering across
-//! *independent* outputs, allocation elimination, and plan/scratch reuse.
+//! floating-point operations per output value:
+//!
+//! - blocking/reordering across *independent* outputs;
+//! - allocation elimination, and plan/scratch reuse;
+//! - adding or dropping only terms that are provably exact no-ops: a
+//!   `w · ±0.0` with a finite `w`, added to an accumulator that cannot be
+//!   `-0.0`. The conv fast path adds such terms for padded taps and drops
+//!   them for all-zero input planes, and checks both preconditions first
+//!   (see [`conv`]).
+//!
 //! Anything that would reassociate a single output's accumulation belongs
 //! on the explicitly-lossy int8 rung instead.
 
@@ -39,7 +49,7 @@ pub mod conv;
 pub mod gemm;
 pub mod int8;
 
-pub use conv::{Activation, Conv1dScratch, Conv2dScratch};
+pub use conv::{Activation, Conv2dScratch};
 
 use emoleak_exec::EnvError;
 use std::str::FromStr;

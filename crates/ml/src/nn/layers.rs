@@ -11,7 +11,7 @@
 
 use super::lowered::LayerSpec;
 use super::tensor::Tensor;
-use emoleak_kernels::{conv, Activation, Conv1dScratch, Conv2dScratch, KernelMode};
+use emoleak_kernels::{conv, Activation, Conv2dScratch, KernelMode};
 use rand::{Rng, SeedableRng};
 
 /// A typed input-shape mismatch reported by the lowered inference network
@@ -476,7 +476,9 @@ impl Layer for Conv2d {
 /// 1-D convolution, stride 1, "same" zero padding. Input `[C_in, L]`,
 /// output `[C_out, L]`.
 ///
-/// Forward dispatches on [`KernelMode`] like [`Conv2d`].
+/// Forward dispatches on [`KernelMode`] like [`Conv2d`], running the 2-D
+/// kernels on the input as a `[C_in, 1, L]` map with a `1 × k` kernel: the
+/// same operations in the same order.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     in_ch: usize,
@@ -487,7 +489,7 @@ pub struct Conv1d {
     gw: Vec<f64>,
     gb: Vec<f64>,
     cached_input: Tensor,
-    scratch: Conv1dScratch,
+    scratch: Conv2dScratch,
 }
 
 impl Conv1d {
@@ -509,7 +511,7 @@ impl Conv1d {
             gw: vec![0.0; n],
             gb: vec![0.0; out_ch],
             cached_input: Tensor::default(),
-            scratch: Conv1dScratch::default(),
+            scratch: Conv2dScratch::default(),
         }
     }
 }
@@ -526,22 +528,26 @@ impl Layer for Conv1d {
         self.cached_input = input.clone();
         let mut out = Tensor::zeros(&[self.out_ch, l]);
         match KernelMode::current() {
-            KernelMode::Reference => conv::conv1d_ref(
+            KernelMode::Reference => conv::conv2d_ref(
                 &input.data,
                 self.in_ch,
+                1,
                 l,
                 self.out_ch,
+                1,
                 self.k,
                 &self.w,
                 &self.b,
                 Activation::Identity,
                 &mut out.data,
             ),
-            KernelMode::Fast => conv::conv1d_fast(
+            KernelMode::Fast => conv::conv2d_fast(
                 &input.data,
                 self.in_ch,
+                1,
                 l,
                 self.out_ch,
+                1,
                 self.k,
                 &self.w,
                 &self.b,

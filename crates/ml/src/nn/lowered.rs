@@ -11,7 +11,8 @@
 //!   logits are **bit-identical** to `Sequential::forward(x, false)`, in
 //!   either kernel mode.
 //! - [`Precision::Int8`] quantizes each matmul layer's input once per
-//!   tensor, lowers it to im2col in i8, and multiplies through
+//!   tensor, lowers the planes that quantize to anything but zero to
+//!   im2col in i8, and multiplies through
 //!   `emoleak_kernels::int8::gemm_i8` with exact i32 accumulation. It is
 //!   deliberately *lossy* relative to the f64 model — a distinct
 //!   `InferenceLevel` rung the streaming service opts into under load,
@@ -27,7 +28,7 @@
 use super::layers::{max_pool, ShapeError};
 use super::Sequential;
 use crate::linalg::{argmax, dot};
-use emoleak_kernels::conv::{conv2d_fast, conv2d_ref, im2col_2d};
+use emoleak_kernels::conv::{conv2d_fast, conv2d_ref, lower_live_planes};
 use emoleak_kernels::int8::{gemm_i8, quantize_symmetric, quantize_symmetric_into};
 use emoleak_kernels::{Activation, Conv2dScratch, KernelMode};
 
@@ -113,13 +114,22 @@ impl Params {
         Params { w, b, wq, wscale, act: Activation::Identity }
     }
 
-    /// `y = act(Wq · xq · wscale · xscale + b)` for the `k × n` int8
-    /// activations `xq`, with `m = b.len()` outputs per column.
-    fn matmul_q8(&self, n: usize, xq: &[i8], xscale: f64, acc: &mut Vec<i32>, y: &mut Vec<f64>) {
+    /// `y = act(wq · xq · wscale · xscale + b)` for the `m × k` int8
+    /// weights `wq` (all of `self.wq`, or the columns a lowering kept) and
+    /// the `k × n` int8 activations `xq`, with `m = b.len()`.
+    fn matmul_q8(
+        &self,
+        wq: &[i8],
+        n: usize,
+        xq: &[i8],
+        xscale: f64,
+        acc: &mut Vec<i32>,
+        y: &mut Vec<f64>,
+    ) {
         let m = self.b.len();
         acc.clear();
         acc.resize(m * n, 0);
-        gemm_i8(m, self.wq.len() / m, n, &self.wq, xq, acc);
+        gemm_i8(m, wq.len() / m, n, wq, xq, acc);
         let s = self.wscale * xscale;
         y.clear();
         y.extend(acc.iter().enumerate().map(|(i, &v)| f64::from(v) * s + self.b[i / n]));
@@ -140,7 +150,7 @@ enum Lowered {
 }
 
 /// Reusable buffers for [`LoweredCnn`] forward passes: the activations,
-/// the f64 im2col matrix, and the int8 input, im2col and accumulator
+/// the f64 and int8 conv lowerings, and the int8 input and accumulator
 /// buffers. One scratch serves networks of any width; hold one per thread.
 #[derive(Debug, Default)]
 pub struct CnnScratch {
@@ -149,7 +159,7 @@ pub struct CnnScratch {
     y: Vec<f64>,
     conv: Conv2dScratch,
     xq: Vec<i8>,
-    colsq: Vec<i8>,
+    convq: Conv2dScratch<i8>,
     acc: Vec<i32>,
 }
 
@@ -216,7 +226,7 @@ impl LoweredCnn {
                 got: shape.to_vec(),
             });
         }
-        let CnnScratch { shape: cur, x, y, conv, xq, colsq, acc } = scratch;
+        let CnnScratch { shape: cur, x, y, conv, xq, convq, acc } = scratch;
         cur.clear();
         cur.extend_from_slice(shape);
         x.clear();
@@ -239,9 +249,12 @@ impl LoweredCnn {
                             // entries as quantizing the f64 im2col matrix,
                             // since every input value sits at its kernel's
                             // centre tap and the padding, 0.0, maps to 0.
+                            // A plane that quantizes to all zeros only
+                            // adds integer zeros, so it is not lowered.
                             let xscale = quantize_symmetric_into(x, xq);
-                            im2col_2d(xq, *in_ch, h, w, *kh, *kw, colsq);
-                            p.matmul_q8(h * w, colsq, xscale, acc, y);
+                            let (_, wq, cols) =
+                                lower_live_planes(xq, *in_ch, h, w, *kh, *kw, &p.wq, convq);
+                            p.matmul_q8(wq, h * w, cols, xscale, acc, y);
                         }
                     }
                     cur[0] = out_ch;
@@ -256,7 +269,7 @@ impl LoweredCnn {
                         }
                         Precision::Int8 => {
                             let xscale = quantize_symmetric_into(x, xq);
-                            p.matmul_q8(1, xq, xscale, acc, y);
+                            p.matmul_q8(&p.wq, 1, xq, xscale, acc, y);
                         }
                     }
                     cur.clear();

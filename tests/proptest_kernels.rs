@@ -14,9 +14,9 @@
 use emoleak::dsp::fft::Fft;
 use emoleak::dsp::{Complex, StftConfig};
 use emoleak::features::{freq_domain, time_domain};
-use emoleak::kernels::conv::{conv1d_fast, conv1d_ref, conv2d_fast, conv2d_ref};
+use emoleak::kernels::conv::{conv2d_fast, conv2d_ref};
 use emoleak::kernels::gemm::{gemm_fast, gemm_ref};
-use emoleak::kernels::{Activation, Conv1dScratch, Conv2dScratch, KernelMode};
+use emoleak::kernels::{Activation, Conv2dScratch, KernelMode};
 use emoleak::ml::nn::{spectrogram_cnn_scaled, CnnScratch, LoweredCnn, Precision, Tensor};
 use emoleak::ml::nn::{Sequential, TrainConfig};
 use proptest::prelude::*;
@@ -36,16 +36,51 @@ fn act_of(relu: bool) -> Activation {
     }
 }
 
+/// The plain scalar 1-D convolution (stride 1, "same" zero padding,
+/// out-of-bounds taps skipped), `[C_in, L]` in and `[C_out, L]` out: the
+/// oracle the 2-D kernels must equal at `H = kh = 1`.
+#[allow(clippy::too_many_arguments)]
+fn conv1d_oracle(
+    input: &[f64],
+    in_ch: usize,
+    l: usize,
+    out_ch: usize,
+    k: usize,
+    weights: &[f64],
+    bias: &[f64],
+    act: Activation,
+) -> Vec<f64> {
+    let p = k / 2;
+    let mut out = vec![0.0; out_ch * l];
+    for o in 0..out_ch {
+        for t in 0..l {
+            let mut acc = bias[o];
+            for c in 0..in_ch {
+                for kk in 0..k {
+                    let it = (t + kk).wrapping_sub(p);
+                    if it < l {
+                        acc += weights[(o * in_ch + c) * k + kk] * input[c * l + it];
+                    }
+                }
+            }
+            out[o * l + t] = acc;
+        }
+    }
+    act.apply(&mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The register-tiled GEMM performs the identical per-element rounding
     /// sequence as the scalar reference — bit-identical for all inputs,
-    /// including a non-zero preloaded C (the bias-preload idiom).
+    /// including a non-zero preloaded C (the bias-preload idiom) and
+    /// `k = 0` (a convolution whose input planes are all dead).
     #[test]
     fn gemm_fast_is_bit_identical(
         m in 1usize..9,
-        k in 1usize..80,
+        k in 0usize..80,
         n in 1usize..70,
         vals in prop::collection::vec(-100.0f64..100.0, 80 * 9 + 80 * 70 + 9 * 70),
     ) {
@@ -89,7 +124,9 @@ proptest! {
         prop_assert!(bits_eq(&out_ref, &out_fast));
     }
 
-    /// Same contract for the 1-D convolution backing the feature CNN.
+    /// The feature CNN's 1-D convolutions run as the 2-D kernels on a
+    /// `[C_in, 1, L]` map with a `1 × k` kernel: both equal the scalar 1-D
+    /// loop bit for bit.
     #[test]
     fn conv1d_fast_is_bit_identical(
         in_ch in 1usize..5,
@@ -105,12 +142,16 @@ proptest! {
         let boff = woff + 5 * 4 * 5;
         let bias = &vals[boff..boff + out_ch];
         let act = act_of(relu == 1);
+        let want = conv1d_oracle(input, in_ch, l, out_ch, k, weights, bias, act);
         let mut out_ref = Vec::new();
         let mut out_fast = Vec::new();
-        let mut scratch = Conv1dScratch::default();
-        conv1d_ref(input, in_ch, l, out_ch, k, weights, bias, act, &mut out_ref);
-        conv1d_fast(input, in_ch, l, out_ch, k, weights, bias, act, &mut scratch, &mut out_fast);
-        prop_assert!(bits_eq(&out_ref, &out_fast));
+        let mut scratch = Conv2dScratch::default();
+        conv2d_ref(input, in_ch, 1, l, out_ch, 1, k, weights, bias, act, &mut out_ref);
+        conv2d_fast(
+            input, in_ch, 1, l, out_ch, 1, k, weights, bias, act, &mut scratch, &mut out_fast,
+        );
+        prop_assert!(bits_eq(&want, &out_ref));
+        prop_assert!(bits_eq(&want, &out_fast));
     }
 
     /// The scratch-buffer real FFT is bit-identical to the allocating one,
@@ -204,6 +245,75 @@ proptest! {
         let reference = freq_domain::extract_in_mode(&region, fs, KernelMode::Reference);
         let fast = freq_domain::extract_in_mode(&region, fs, KernelMode::Fast);
         prop_assert!(bits_eq(&reference, &fast));
+    }
+}
+
+proptest! {
+    // Small maps, so many cases stay cheap; about half the cases have every
+    // plane dead.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fast path does not lower input planes that hold only `±0.0`.
+    /// Each plane here is random values, all `+0.0`, all `-0.0` or mixed
+    /// `±0`, so some cases have every plane dead (the `k = 0` GEMM). Half
+    /// the cases put a NaN or ∞ in a live plane, when there is one, and a
+    /// quarter put a non-finite weight on a dead plane, where `w · 0.0` is
+    /// a NaN the reference adds, so that input must go to the reference.
+    #[test]
+    fn conv2d_fast_skips_dead_planes_bit_identically(
+        in_ch in 1usize..6,
+        h in 1usize..8,
+        w in 1usize..8,
+        out_ch in 1usize..5,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        relu in 0u32..2,
+        kinds in prop::collection::vec(0u32..4, 5),
+        signs in prop::collection::vec(0u32..2, 5 * 7 * 7),
+        poison in 0u32..4,
+        at in 0usize..10_000,
+        vals in prop::collection::vec(-10.0f64..10.0, 5 * 7 * 7 + 4 * 5 * 3 * 3 + 4),
+    ) {
+        let n = h * w;
+        let mut input: Vec<f64> = (0..in_ch * n)
+            .map(|i| match kinds[i / n] {
+                0 => vals[i],
+                1 => 0.0,
+                2 => -0.0,
+                _ if signs[i] == 0 => 0.0,
+                _ => -0.0,
+            })
+            .collect();
+        let woff = 5 * 7 * 7;
+        let mut weights = vals[woff..woff + out_ch * in_ch * kh * kw].to_vec();
+        let boff = woff + 4 * 5 * 3 * 3;
+        let bias = &vals[boff..boff + out_ch];
+        let live: Vec<usize> = (0..in_ch).filter(|&c| kinds[c] == 0).collect();
+        let dead: Vec<usize> = (0..in_ch).filter(|&c| kinds[c] != 0).collect();
+        match poison {
+            1 | 2 if !live.is_empty() => {
+                let c = live[at % live.len()];
+                input[c * n + at % n] = if poison == 1 { f64::NAN } else { f64::INFINITY };
+            }
+            3 if !dead.is_empty() => {
+                let taps = kh * kw;
+                let c = dead[at % dead.len()];
+                let o = at % out_ch;
+                weights[(o * in_ch + c) * taps + at % taps] =
+                    if at % 2 == 0 { f64::NAN } else { f64::NEG_INFINITY };
+            }
+            _ => {}
+        }
+        let act = act_of(relu == 1);
+        let mut out_ref = Vec::new();
+        let mut out_fast = Vec::new();
+        let mut scratch = Conv2dScratch::default();
+        conv2d_ref(&input, in_ch, h, w, out_ch, kh, kw, &weights, bias, act, &mut out_ref);
+        conv2d_fast(
+            &input, in_ch, h, w, out_ch, kh, kw, &weights, bias, act,
+            &mut scratch, &mut out_fast,
+        );
+        prop_assert!(bits_eq(&out_ref, &out_fast));
     }
 }
 
