@@ -13,7 +13,7 @@
 //! workers with bit-identical output at any worker count.
 
 use emoleak_bench::chaos::Json;
-use emoleak_bench::{banner, campaign_fingerprint, clips_per_cell, run_campaign, write_result};
+use emoleak_bench::{banner, clips_per_cell, run_campaign, write_result};
 use emoleak_core::prelude::*;
 use emoleak_core::{evaluate_features, ClassifierKind, Protocol};
 use emoleak_durable::{Dec, Enc};
@@ -149,7 +149,8 @@ fn render_json(random_guess: f64, severities: &[f64], results: &[(String, Vec<Ce
 fn main() -> Result<(), EmoleakError> {
     let corpus = CorpusSpec::tess().with_clips_per_cell(clips_per_cell()?.min(12));
     let random_guess = corpus.random_guess();
-    banner("Robustness sweep: accuracy vs fault severity (TESS / OnePlus 7T)", random_guess);
+    let budget =
+        banner("Robustness sweep: accuracy vs fault severity (TESS / OnePlus 7T)", &[&corpus])?;
     let severities = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let device = DeviceProfile::oneplus_7t();
 
@@ -160,14 +161,13 @@ fn main() -> Result<(), EmoleakError> {
     let grid: Vec<(usize, f64)> = (0..axes.len())
         .flat_map(|ai| severities.iter().map(move |&s| (ai, s)))
         .collect();
-    let fingerprint = campaign_fingerprint(&[
-        &format!("clips={}", corpus.clips_per_cell()),
-        &format!("severities={severities:?}"),
-        &axes.iter().map(|a| a.name).collect::<Vec<_>>().join(","),
-    ]);
     let cells = run_campaign(
         "robustness_sweep",
-        fingerprint,
+        &budget,
+        &[
+            &format!("severities={severities:?}"),
+            &axes.iter().map(|a| a.name).collect::<Vec<_>>().join(","),
+        ],
         grid.len(),
         encode_cell,
         decode_cell,

@@ -158,7 +158,7 @@ fn main() -> Result<(), EmoleakError> {
     }));
 
     let corpus = CorpusSpec::tess().with_clips_per_cell(2);
-    banner("Stream chaos: liveness under faults, flaky transport, and panics", corpus.random_guess());
+    banner("Stream chaos: liveness under faults, flaky transport, and panics", &[&corpus])?;
     let device = DeviceProfile::oneplus_7t();
 
     // One classical bundle, trained once on the clean campaign, backs every

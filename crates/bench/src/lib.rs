@@ -1,41 +1,46 @@
 //! # emoleak-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! EmoLeak paper. One binary per experiment (see `src/bin/`), plus Criterion
-//! benches for pipeline-stage throughput (see `benches/`).
+//! EmoLeak paper: the `paper` binary runs the report registry in [`paper`],
+//! the chaos and bench binaries in `src/bin/` drive the serving substrate,
+//! and Criterion benches measure pipeline-stage throughput (see `benches/`).
 //!
 //! ## Scale knobs (environment variables)
 //!
 //! | Variable | Default | Meaning |
 //! |---|---|---|
-//! | `EMOLEAK_CLIPS` | 40 | clips per (speaker, emotion) cell per campaign |
-//! | `EMOLEAK_EPOCHS` | 25 | CNN training epochs |
+//! | `EMOLEAK_CLIPS` | 20 | clips per (speaker, emotion) cell per campaign |
+//! | `EMOLEAK_EPOCHS` | 40 | CNN training epochs |
+//! | `EMOLEAK_MAX_IMAGES` | 600 | spectrogram images per CNN evaluation |
 //! | `EMOLEAK_CNN_DIV` | 4 | CNN channel-width divisor (1 = paper-exact) |
-//! | `EMOLEAK_SKIP_CNN` | unset | skip the CNN rows entirely (quick runs) |
 //! | `EMOLEAK_THREADS` | all cores | worker threads (`emoleak-exec`); any value produces bit-identical tables |
 //! | `EMOLEAK_CHECKPOINT_DIR` | unset | checkpoint campaigns here; a killed run resumes from its cursor |
-//! | `EMOLEAK_SNAPSHOT_EVERY` | 4 | units between snapshot checkpoints (journal covers the gap) |
+//! | `EMOLEAK_RESULTS_DIR` | `results` | where reports are published |
 //!
-//! The defaults complete on a single core in minutes; `EMOLEAK_CLIPS=200
-//! EMOLEAK_CNN_DIV=1` reproduces the full-scale campaign. Every experiment
-//! is deterministic **independent of `EMOLEAK_THREADS`**: parallel stages
+//! The defaults regenerate the committed `results/*.txt` byte for byte;
+//! `EMOLEAK_CLIPS=200 EMOLEAK_CNN_DIV=1` reproduces the full-scale
+//! campaign. Every banner states the [`Budget`] its report ran at. Every
+//! experiment is deterministic **independent of `EMOLEAK_THREADS`**: parallel stages
 //! draw from per-task RNG streams and combine results in task order, so a
 //! 16-core run reproduces the single-core numbers exactly. The same
 //! property makes resumption exact: with `EMOLEAK_CHECKPOINT_DIR` set, a
 //! run killed mid-campaign restarts from its checkpoint cursor and produces
 //! tables byte-identical to an uninterrupted run.
 
+use emoleak_core::pipeline::{cnn_train_config, cnn_width_divisor, spectrogram_image_cap};
 use emoleak_core::prelude::*;
-use emoleak_core::{evaluate_feature_grid, evaluate_features, ClassifierKind, Protocol};
+use emoleak_core::{evaluate_feature_grid, ClassifierKind, Protocol};
 use emoleak_durable::{
     run_resumable, CampaignError, CampaignSpec, Dec, Enc, RunOptions,
 };
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod chaos;
+pub mod paper;
 
 /// Clips per (speaker, emotion) cell for this run (`EMOLEAK_CLIPS`,
-/// default 40). Strict: a set-but-malformed value errors instead of
+/// default 20). Strict: a set-but-malformed value errors instead of
 /// silently running the default campaign size.
 ///
 /// # Errors
@@ -44,36 +49,48 @@ pub mod chaos;
 /// positive integer.
 pub fn clips_per_cell() -> Result<usize, EmoleakError> {
     Ok(emoleak_exec::parse_checked("EMOLEAK_CLIPS", "a positive integer", |&n: &usize| n > 0)?
-        .unwrap_or(40))
+        .unwrap_or(20))
 }
 
-/// Whether CNN rows should be skipped (`EMOLEAK_SKIP_CNN`).
-pub fn skip_cnn() -> bool {
-    std::env::var("EMOLEAK_SKIP_CNN").is_ok()
+/// Units between snapshot checkpoints. The write-ahead journal covers the
+/// units since the last snapshot, so this trades snapshot I/O against
+/// recovery replay length, never safety.
+const SNAPSHOT_EVERY: usize = 4;
+
+/// The budget a run used: the clips per cell each of its corpora really
+/// used, and the CNN budget (`EMOLEAK_EPOCHS`, `EMOLEAK_MAX_IMAGES`,
+/// `EMOLEAK_CNN_DIV`). Every banner prints it and every campaign
+/// fingerprint hashes it, so a checkpoint resumes only under the budget
+/// that its report states.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Budget(String);
+
+impl Budget {
+    /// Reads the CNN knobs for a run over `corpora`, whose clip counts
+    /// render per corpus, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`EmoleakError::Config`] when a CNN knob is set but malformed.
+    pub fn of(corpora: &[&CorpusSpec]) -> Result<Self, EmoleakError> {
+        let clips = corpora
+            .iter()
+            .map(|c| format!("{} {}", c.name(), c.clips_per_cell()))
+            .collect::<Vec<_>>()
+            .join(" / ");
+        Ok(Budget(format!(
+            "clips/cell = {clips}, epochs = {}, image cap = {}, CNN width divisor = {}",
+            cnn_train_config()?.epochs,
+            spectrogram_image_cap()?,
+            cnn_width_divisor()?,
+        )))
+    }
 }
 
-/// Where campaigns checkpoint (`EMOLEAK_CHECKPOINT_DIR`); `None` disables
-/// durability. Each campaign uses its own subdirectory, so one directory
-/// serves every bench bin.
-pub fn checkpoint_dir() -> Option<PathBuf> {
-    std::env::var_os("EMOLEAK_CHECKPOINT_DIR").map(PathBuf::from)
-}
-
-/// Units between snapshot checkpoints (`EMOLEAK_SNAPSHOT_EVERY`, default 4).
-/// The write-ahead journal covers the units since the last snapshot, so
-/// this trades snapshot I/O against recovery replay length, never safety.
-///
-/// # Errors
-///
-/// [`EmoleakError::Config`] when `EMOLEAK_SNAPSHOT_EVERY` is set but not a
-/// positive integer.
-pub fn snapshot_every() -> Result<usize, EmoleakError> {
-    Ok(emoleak_exec::parse_checked(
-        "EMOLEAK_SNAPSHOT_EVERY",
-        "a positive integer",
-        |&n: &usize| n > 0,
-    )?
-    .unwrap_or(4))
+impl fmt::Display for Budget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
 }
 
 /// Fingerprints everything that shapes a campaign's unit results (FNV-1a
@@ -93,9 +110,11 @@ pub fn campaign_fingerprint(parts: &[&str]) -> u64 {
 /// Runs (or resumes) a campaign of `total` typed units through the
 /// durability layer. With `EMOLEAK_CHECKPOINT_DIR` unset this is just
 /// `compute(0..total)`; with it set, each completed unit is journaled
-/// under `<dir>/<id>/` and a rerun picks up from the recovered cursor —
-/// byte-identically, because units derive their RNG streams from their
-/// index.
+/// under `<dir>/<id>/` (one directory serves every campaign) and a rerun
+/// picks up from the recovered cursor — byte-identically, because units
+/// derive their RNG streams from their index. The checkpoint's fingerprint
+/// hashes `budget` and `parts` (seed, devices, grid), so a rerun under
+/// another budget or grid recomputes.
 ///
 /// `encode`/`decode` serialize one unit payload; `compute` must return one
 /// value per index in its range.
@@ -106,17 +125,19 @@ pub fn campaign_fingerprint(parts: &[&str]) -> u64 {
 /// [`EmoleakError::Durable`].
 pub fn run_campaign<T>(
     id: &str,
-    fingerprint: u64,
+    budget: &Budget,
+    parts: &[&str],
     total: usize,
     encode: impl Fn(&T) -> Vec<u8>,
     decode: impl Fn(&[u8]) -> Option<T>,
     mut compute: impl FnMut(std::ops::Range<usize>) -> Result<Vec<T>, EmoleakError>,
 ) -> Result<Vec<T>, EmoleakError> {
-    let dir = checkpoint_dir().map(|d| d.join(id));
+    let dir = std::env::var_os("EMOLEAK_CHECKPOINT_DIR").map(|d| PathBuf::from(d).join(id));
+    let fingerprint = campaign_fingerprint(&[&[budget.0.as_str()], parts].concat());
     let spec = CampaignSpec { id: id.to_string(), fingerprint, total };
     let opts = RunOptions {
         chunk: emoleak_exec::threads().max(1),
-        snapshot_every: snapshot_every()?,
+        snapshot_every: SNAPSHOT_EVERY,
         crash: None,
     };
     let outcome = run_resumable(dir.as_deref(), &spec, &opts, &mut |range| {
@@ -190,21 +211,6 @@ pub fn write_result(path: &Path, contents: &[u8]) -> Result<(), EmoleakError> {
         .map_err(|e| EmoleakError::Durable(e.to_string()))
 }
 
-/// Runs one classifier on a harvested campaign under the standard protocol
-/// (80/20 holdout, as in the loudspeaker tables).
-///
-/// A dataset too degenerate to evaluate scores as `NaN` (rendered as a
-/// missing table cell), matching the `EMOLEAK_SKIP_CNN` convention.
-pub fn classifier_accuracy(
-    harvest: &emoleak_core::HarvestResult,
-    kind: ClassifierKind,
-    seed: u64,
-) -> f64 {
-    evaluate_features(&harvest.features, kind, Protocol::Holdout8020, seed)
-        .map(|eval| eval.accuracy)
-        .unwrap_or(f64::NAN)
-}
-
 /// Builds a full table column (one accuracy per classifier) for a scenario.
 ///
 /// The classifier set mirrors the paper's table (time–frequency features ×
@@ -219,14 +225,12 @@ pub fn loudspeaker_column(
     seed: u64,
 ) -> Result<Vec<(String, f64)>, EmoleakError> {
     let harvest = scenario.harvest()?;
-    let mut kinds = vec![
+    let kinds = [
         ClassifierKind::Logistic,
         ClassifierKind::MultiClass,
         ClassifierKind::Lmt,
+        ClassifierKind::Cnn,
     ];
-    if !skip_cnn() {
-        kinds.push(ClassifierKind::Cnn);
-    }
     // All classifiers of the column train in parallel on the same harvest;
     // the grid returns results in `kinds` order.
     let mut rows: Vec<(String, f64)> =
@@ -239,35 +243,34 @@ pub fn loudspeaker_column(
                 )
             })
             .collect();
-    if skip_cnn() {
-        rows.push(("CNN".to_string(), f64::NAN));
-        rows.push(("Spectrogram CNN".to_string(), f64::NAN));
-    } else {
-        let class_names = harvest.features.class_names().to_vec();
-        let spec_acc =
-            emoleak_core::evaluate_spectrograms(&harvest.spectrograms, &class_names, seed)
-                .map(|(eval, _history)| eval.accuracy)
-                .unwrap_or(f64::NAN);
-        rows.push(("Spectrogram CNN".to_string(), spec_acc));
-    }
+    let class_names = harvest.features.class_names().to_vec();
+    let spec_acc = emoleak_core::evaluate_spectrograms(&harvest.spectrograms, &class_names, seed)
+        .map(|(eval, _history)| eval.accuracy)
+        .unwrap_or(f64::NAN);
+    rows.push(("Spectrogram CNN".to_string(), spec_acc));
     Ok(rows)
 }
 
-/// Renders the banner block for experiment binaries (leading blank line,
-/// title, scale-knob summary), without printing it.
-pub fn banner_text(title: &str, random_guess: f64) -> String {
-    format!(
-        "\n{title}\n(clips/cell = {}, CNN width divisor = {}, random guess = {:.2}%)\n",
-        clips_per_cell().map_or_else(|e| format!("invalid ({e})"), |n| n.to_string()),
-        emoleak_core::pipeline::cnn_width_divisor()
-            .map_or_else(|e| format!("invalid ({e})"), |d| d.to_string()),
-        random_guess * 100.0
-    )
+/// Renders the banner block for a run over `corpora` (leading blank line,
+/// title, then the run's [`Budget`] and the first corpus's random guess),
+/// and returns the budget it states.
+fn banner_text(title: &str, corpora: &[&CorpusSpec]) -> Result<(String, Budget), EmoleakError> {
+    let budget = Budget::of(corpora)?;
+    let random_guess = corpora.first().expect("a run covers at least one corpus").random_guess();
+    let text = format!("\n{title}\n({budget}, random guess = {:.2}%)\n", random_guess * 100.0);
+    Ok((text, budget))
 }
 
-/// Prints a banner line for experiment binaries.
-pub fn banner(title: &str, random_guess: f64) {
-    print!("{}", banner_text(title, random_guess));
+/// Prints the banner for a run over `corpora` (see [`Report::banner`]) and
+/// returns the budget it states.
+///
+/// # Errors
+///
+/// [`EmoleakError::Config`] when a CNN knob is set but malformed.
+pub fn banner(title: &str, corpora: &[&CorpusSpec]) -> Result<Budget, EmoleakError> {
+    let (text, budget) = banner_text(title, corpora)?;
+    print!("{text}");
+    Ok(budget)
 }
 
 /// Directory for published artifacts (`EMOLEAK_RESULTS_DIR`, default
@@ -293,9 +296,22 @@ impl Report {
         Report { name: name.to_string(), buf: String::new() }
     }
 
-    /// Mirrors the standard experiment banner (see [`banner`]).
-    pub fn banner(&mut self, title: &str, random_guess: f64) {
-        self.block(banner_text(title, random_guess));
+    /// The artifact's name, without the `.txt`.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Mirrors the standard experiment banner for a run over `corpora`: the
+    /// title, the run's [`Budget`] and the first corpus's random guess.
+    /// Returns the budget, which the run's campaigns hash.
+    ///
+    /// # Errors
+    ///
+    /// [`EmoleakError::Config`] when a CNN knob is set but malformed.
+    pub fn banner(&mut self, title: &str, corpora: &[&CorpusSpec]) -> Result<Budget, EmoleakError> {
+        let (text, budget) = banner_text(title, corpora)?;
+        self.block(text);
+        Ok(budget)
     }
 
     /// Mirrors one line (a trailing newline is added).
@@ -327,25 +343,11 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emoleak_phone::DeviceProfile;
-    use emoleak_synth::CorpusSpec;
-
-    #[test]
-    fn classifier_accuracy_runs_on_tiny_campaign() {
-        let scenario = AttackScenario::table_top(
-            CorpusSpec::tess().with_clips_per_cell(4),
-            DeviceProfile::oneplus_7t(),
-        );
-        let harvest = scenario.harvest().unwrap();
-        let acc = classifier_accuracy(&harvest, ClassifierKind::Logistic, 1);
-        assert!((0.0..=1.0).contains(&acc));
-    }
 
     #[test]
     fn env_knob_defaults() {
         // Not set in the test environment.
         assert!(clips_per_cell().unwrap() >= 1);
-        assert!(snapshot_every().unwrap() >= 1);
     }
 
     /// Serializes the env-mutating tests in this binary.
@@ -381,9 +383,11 @@ mod tests {
     fn run_campaign_without_checkpoint_dir_computes_everything() {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         std::env::remove_var("EMOLEAK_CHECKPOINT_DIR");
+        let budget = Budget::of(&[&CorpusSpec::tess()]).unwrap();
         let got = run_campaign(
             "lib-test-plain",
-            1,
+            &budget,
+            &[],
             3,
             |v: &u64| v.to_le_bytes().to_vec(),
             |b| Some(u64::from_le_bytes(b.try_into().ok()?)),
@@ -394,32 +398,44 @@ mod tests {
     }
 
     #[test]
-    fn run_campaign_resumes_from_checkpoint_dir() {
+    fn run_campaign_resumes_only_under_the_same_budget() {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir()
             .join(format!("emoleak-bench-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("EMOLEAK_CHECKPOINT_DIR", &dir);
-        let encode = |v: &u64| v.to_le_bytes().to_vec();
-        let decode = |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?));
+        let prior = std::env::var("EMOLEAK_EPOCHS");
+        let corpus = CorpusSpec::savee().with_clips_per_cell(3);
+        // One run of a four-unit campaign at `epochs`: its units, and how
+        // many of them it computed rather than restored.
+        let run = |epochs: &str| {
+            std::env::set_var("EMOLEAK_EPOCHS", epochs);
+            let budget = Budget::of(&[&corpus]).unwrap();
+            let mut computed = 0usize;
+            let units = run_campaign(
+                "lib-test-resume",
+                &budget,
+                &["seed=7"],
+                4,
+                |v: &u64| v.to_le_bytes().to_vec(),
+                |b| Some(u64::from_le_bytes(b.try_into().ok()?)),
+                |range| {
+                    computed += range.len();
+                    Ok(range.map(|i| i as u64 + 100).collect::<Vec<_>>())
+                },
+            )
+            .unwrap();
+            (units, computed)
+        };
+        let units = vec![100, 101, 102, 103];
+        assert_eq!(run("1"), (units.clone(), 4));
+        assert_eq!(run("1"), (units.clone(), 0), "a completed campaign must not recompute");
+        assert_eq!(run("6"), (units, 4), "a checkpoint from another epoch count must not resume");
 
-        let mut first_ran = 0usize;
-        let a = run_campaign("lib-test-resume", 7, 4, encode, decode, |range| {
-            first_ran += range.len();
-            Ok(range.map(|i| i as u64 + 100).collect())
-        })
-        .unwrap();
-        assert_eq!(first_ran, 4);
-
-        let mut second_ran = 0usize;
-        let b = run_campaign("lib-test-resume", 7, 4, encode, decode, |range| {
-            second_ran += range.len();
-            Ok(range.map(|i| i as u64 + 100).collect())
-        })
-        .unwrap();
-        assert_eq!(second_ran, 0, "completed campaign must not recompute");
-        assert_eq!(a, b);
-
+        match prior {
+            Ok(v) => std::env::set_var("EMOLEAK_EPOCHS", v),
+            Err(_) => std::env::remove_var("EMOLEAK_EPOCHS"),
+        }
         std::env::remove_var("EMOLEAK_CHECKPOINT_DIR");
         let _ = std::fs::remove_dir_all(&dir);
     }

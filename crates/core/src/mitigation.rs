@@ -111,8 +111,9 @@ impl FilterAblation {
     }
 
     /// True when the filter "significantly decreases the information gain"
-    /// (§III-B.2): every level-statistic gain (min/mean/max/CV) drops and
-    /// their sum falls by at least 20 %.
+    /// (§III-B.2): the summed gain of the four level statistics
+    /// (min/mean/max/CV) falls by at least 20 %. A single statistic's gain
+    /// may still rise; this checks only the sum.
     ///
     /// The paper's Table I reports exact zeros after filtering; in our
     /// physically grounded channel the in-band amplitude retains genuine

@@ -211,6 +211,25 @@ pub fn cnn_width_divisor() -> Result<usize, EmoleakError> {
     )
 }
 
+/// The cap on spectrogram images one [`evaluate_spectrograms`] call trains
+/// and tests on (`EMOLEAK_MAX_IMAGES`, default 600). Large campaigns produce
+/// thousands of images and training cost is linear in their count, so each
+/// class keeps at most `cap / classes` of its images (stratified, and at
+/// least 2).
+///
+/// # Errors
+///
+/// Returns [`EmoleakError::Config`] when `EMOLEAK_MAX_IMAGES` is set to
+/// anything other than an integer of at least 10.
+pub fn spectrogram_image_cap() -> Result<usize, EmoleakError> {
+    Ok(emoleak_exec::parse_checked::<usize>(
+        "EMOLEAK_MAX_IMAGES",
+        "an integer of at least 10",
+        |&n| n >= 10,
+    )?
+    .unwrap_or(600))
+}
+
 /// Builds a classifier of `kind`. CNN settings are resolved (and their env
 /// knobs validated) once by the caller and passed in, so this stays
 /// infallible and cheap inside per-fold factory closures.
@@ -392,16 +411,7 @@ pub fn evaluate_spectrograms(
         )));
     }
     let side = emoleak_features::spectrogram::IMAGE_SIZE;
-    // Large campaigns produce thousands of images; single-core training
-    // cost is linear in that count, so cap the per-class sample count
-    // (stratified) at EMOLEAK_MAX_IMAGES/classes, default 600 total.
-    let max_images: usize = emoleak_exec::parse_checked::<usize>(
-        "EMOLEAK_MAX_IMAGES",
-        "an integer of at least 10",
-        |&n| n >= 10,
-    )?
-    .unwrap_or(600);
-    let per_class = (max_images / class_names.len()).max(2);
+    let per_class = (spectrogram_image_cap()? / class_names.len()).max(2);
     // Stratified 80/20 split by label.
     use rand::seq::SliceRandom;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
