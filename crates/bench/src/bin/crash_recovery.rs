@@ -16,8 +16,9 @@
 //!    `DurableError`/`Defect`, never a panic) and recovered from the
 //!    last valid state — again byte-identically.
 //!
-//! Knobs: `EMOLEAK_CRASH_KILLS` (randomized kill points, default 6),
-//! `EMOLEAK_CRASH_SEED` (kill-point RNG, default 0xC4A5). The report is
+//! The campaign runs at a fixed 2 clips per cell and the kill points are
+//! drawn from the fixed seed `0xC4A5`. One knob: `EMOLEAK_CRASH_KILLS`
+//! (randomized kill points, default 6). The report is
 //! `crash_recovery.json` under `EMOLEAK_RESULTS_DIR` (default `results/`).
 
 use emoleak_bench::campaign_fingerprint;
@@ -33,6 +34,11 @@ use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 0x0C4A;
+/// Clips per (speaker, emotion) cell: small enough that each kill point's
+/// resume reruns in seconds.
+const CLIPS: usize = 2;
+/// Seed of the kill-point draws.
+const CHAOS_SEED: u64 = 0xC4A5;
 const SEVERITIES: [f64; 3] = [0.0, 1.0, 4.0];
 
 /// One fault axis of the chaos campaign (a slice of the robustness sweep).
@@ -59,12 +65,6 @@ fn axes() -> Vec<(&'static str, FaultProfile)> {
     ]
 }
 
-fn clips() -> Result<usize, EmoleakError> {
-    Ok(emoleak_exec::parse_checked("EMOLEAK_CLIPS", "a positive integer", |&n: &usize| n > 0)?
-        .unwrap_or(2)
-        .min(4))
-}
-
 /// Computes units `range` of the campaign grid: one payload per
 /// (axis, severity) cell, holding severity, accuracy, and region count as
 /// raw bits.
@@ -72,7 +72,7 @@ fn compute_units(
     grid: &[(usize, f64)],
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Vec<u8>>, EmoleakError> {
-    let corpus = CorpusSpec::tess().with_clips_per_cell(clips()?);
+    let corpus = CorpusSpec::tess().with_clips_per_cell(CLIPS);
     let random_guess = corpus.random_guess();
     let axes = axes();
     emoleak_exec::par_map_indexed(&grid[range], |_, &(ai, severity)| {
@@ -246,11 +246,8 @@ fn newest_snapshot(dir: &Path) -> Option<PathBuf> {
 fn main() -> Result<(), EmoleakError> {
     let kills: u64 =
         emoleak_exec::parse_checked("EMOLEAK_CRASH_KILLS", "a kill count", |_| true)?.unwrap_or(6);
-    let chaos_seed: u64 =
-        emoleak_exec::parse_checked("EMOLEAK_CRASH_SEED", "a u64 seed", |_| true)?
-            .unwrap_or(0xC4A5);
     println!("crash_recovery: kill-and-resume chaos over a checkpointed campaign");
-    println!("(kills = {kills}, chaos seed = {chaos_seed:#x}, clips/cell = {})\n", clips()?);
+    println!("(kills = {kills}, chaos seed = {CHAOS_SEED:#x}, clips/cell = {CLIPS})\n");
 
     let grid: Vec<(usize, f64)> = (0..axes().len())
         .flat_map(|ai| SEVERITIES.iter().map(move |&s| (ai, s)))
@@ -259,7 +256,7 @@ fn main() -> Result<(), EmoleakError> {
         id: "crash_recovery".into(),
         fingerprint: campaign_fingerprint(&[
             &format!("seed={SEED:#x}"),
-            &format!("clips={}", clips()?),
+            &format!("clips={CLIPS}"),
             &format!("severities={SEVERITIES:?}"),
         ]),
         total: grid.len(),
@@ -301,7 +298,7 @@ fn main() -> Result<(), EmoleakError> {
     // Seeded kill points, including mid-append tears and the snapshot /
     // manifest / journal-reset boundaries (ops 1..=total are uniform, so
     // rename-boundary kills are hit as soon as kills ≳ ops/3).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(chaos_seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(CHAOS_SEED);
     for k in 0..kills {
         let at_op = rng.gen_range(1..=total_ops);
         let frac: f64 = rng.gen_range(0.05..0.95);
@@ -470,7 +467,7 @@ fn main() -> Result<(), EmoleakError> {
     );
 
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"kills\": {kills},\n  \"chaos_seed\": {chaos_seed},\n"));
+    json.push_str(&format!("  \"kills\": {kills},\n  \"chaos_seed\": {CHAOS_SEED},\n"));
     json.push_str(&format!("  \"total_ops\": {total_ops},\n  \"trials\": [\n"));
     for (i, t) in harness.trials.iter().enumerate() {
         let trial = Json::Obj(vec![

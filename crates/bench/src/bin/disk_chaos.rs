@@ -16,11 +16,11 @@
 //!   `to`); under a monotone nemesis (a disk that only fills) the chain
 //!   is also monotone: the ladder only descends;
 //! * clean-path byte-identity — at severity 0 the nemesis is *armed but
-//!   quiet*, and the run must be indistinguishable from the unarmed
-//!   `OsVfs` path: identical fleet stats, identical served stream, and
-//!   byte-identical shard journals. This is what makes the nemesis
-//!   trustworthy: severity-0 faults cost nothing, so any nonzero-severity
-//!   difference is the fault's doing alone;
+//!   quiet*, and the run must be indistinguishable from the same fleet on
+//!   the real filesystem (`OsVfs`, same gauge): identical fleet stats,
+//!   identical served stream, and byte-identical shard journals. This is
+//!   what makes the nemesis trustworthy: severity-0 faults cost nothing,
+//!   so any nonzero-severity difference is the fault's doing alone;
 //! * honest loss — when the mixed scenario kills a shard whose gauge had
 //!   already degraded past journaling, the unaccounted residual is booked
 //!   as `crash_loss` (a subset of `shed`), and anything replayed counts
@@ -234,14 +234,14 @@ fn simulate(
 
     if spec.severity == 0.0 {
         // The armed-but-quiet control: re-run the identical schedule on
-        // the unarmed OsVfs path and demand indistinguishability, down
-        // to the journal bytes.
+        // the real filesystem (OsVfs, the same default gauge) and demand
+        // indistinguishability, down to the journal bytes.
         let bare = drive(spec, env, DiskConfig::default(), dir.join("bare").as_path())
-            .map_err(|e| format!("unarmed control: {e}"))?;
-        violations.extend(bare.violations.iter().map(|v| format!("unarmed control: {v}")));
+            .map_err(|e| format!("real-disk control: {e}"))?;
+        violations.extend(bare.violations.iter().map(|v| format!("real-disk control: {v}")));
         if out.stats != bare.stats {
             violations.push(format!(
-                "a quiet nemesis changed the books: {:?} armed vs {:?} unarmed",
+                "a quiet nemesis changed the books: {:?} armed vs {:?} on the real disk",
                 out.stats, bare.stats
             ));
         }

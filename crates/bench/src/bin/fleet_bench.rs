@@ -20,9 +20,9 @@
 //!   coordinator's offer+advance hot loop over its message plane (every
 //!   offered chunk is asserted served on this clean run);
 //! * `durability_level_ticks` — shard-ticks that coordinator run spent
-//!   at each durability-ladder rung, best rung first. The disk gauge is
-//!   unarmed here, so a healthy build reports `[all, 0, 0, 0]` — any
-//!   nonzero tail is a storage regression;
+//!   at each durability-ladder rung, best rung first. The shards run on
+//!   the real filesystem with no fault plan, so a healthy build reports
+//!   `[all, 0, 0, 0]` — any nonzero tail is a storage regression;
 //! * admission counters — offered/admitted/spilled/refused sessions, so
 //!   a regression in the brown-out path shows up next to the latency it
 //!   causes.
@@ -63,6 +63,7 @@ fn journal_append_us(dir: &std::path::Path, n: u64, replicated: bool) -> f64 {
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / n as f64;
     assert!(sink.take_error().is_none(), "append bench hit a journal error");
+    assert_eq!(sink.unjournaled(), 0, "append bench left records unjournaled");
     us
 }
 

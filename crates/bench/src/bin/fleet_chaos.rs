@@ -9,6 +9,8 @@
 //!   in_flight` fleet-wide, with nothing queued or in flight;
 //! * no lost tenants — after any single-shard kill, every tenant is still
 //!   served (its chunks flow through its new home shard);
+//! * nothing is served twice — no `(tenant, seq)` pair is served more
+//!   than once, even across failovers and crash replays;
 //! * contained panics — hostile chunks panic inside their shard only; a
 //!   sibling shard never burns restart budget, and no panic escapes to
 //!   this harness;
@@ -472,8 +474,12 @@ fn simulate(
             first_served_after_kill.entry(chunk.tenant).or_insert(now);
         }
     });
-    for chunks in served.values_mut() {
+    for (tenant, chunks) in served.iter_mut() {
         chunks.sort_unstable();
+        // At-most-once serving: no (tenant, seq) leaves a queue twice.
+        for twice in chunks.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+            violations.push(format!("{tenant} chunk {} served {} times", twice[0].0, twice.len()));
+        }
     }
     let graceful =
         coord.failovers().iter().filter(|f| f.kind == FailoverKind::Graceful).count();

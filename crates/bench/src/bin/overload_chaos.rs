@@ -317,6 +317,9 @@ fn simulate(
     if let Some(e) = sink.take_error() {
         violations.push(format!("journal write failed: {e}"));
     }
+    if sink.unjournaled() > 0 {
+        violations.push(format!("{} records reached no journal", sink.unjournaled()));
+    }
     match recover_run(&journal) {
         Ok((run, defects)) => {
             if !defects.is_empty() {

@@ -252,12 +252,21 @@ pub fn loudspeaker_column(
 }
 
 /// Renders the banner block for a run over `corpora` (leading blank line,
-/// title, then the run's [`Budget`] and the first corpus's random guess),
-/// and returns the budget it states.
+/// title, then the run's [`Budget`] and the random guess: one figure when
+/// every corpus shares it, else each corpus's, in order), and returns the
+/// budget it states.
 fn banner_text(title: &str, corpora: &[&CorpusSpec]) -> Result<(String, Budget), EmoleakError> {
     let budget = Budget::of(corpora)?;
-    let random_guess = corpora.first().expect("a run covers at least one corpus").random_guess();
-    let text = format!("\n{title}\n({budget}, random guess = {:.2}%)\n", random_guess * 100.0);
+    let guesses: Vec<String> =
+        corpora.iter().map(|c| format!("{:.2}%", c.random_guess() * 100.0)).collect();
+    let first = guesses.first().expect("a run covers at least one corpus");
+    let random_guess = if guesses.iter().all(|g| g == first) {
+        first.clone()
+    } else {
+        let named = corpora.iter().zip(&guesses).map(|(c, g)| format!("{} {g}", c.name()));
+        named.collect::<Vec<_>>().join(" / ")
+    };
+    let text = format!("\n{title}\n({budget}, random guess = {random_guess})\n");
     Ok((text, budget))
 }
 
@@ -302,7 +311,8 @@ impl Report {
     }
 
     /// Mirrors the standard experiment banner for a run over `corpora`: the
-    /// title, the run's [`Budget`] and the first corpus's random guess.
+    /// title, the run's [`Budget`] and the random guess (one figure when
+    /// every corpus shares it, else each corpus's, in order).
     /// Returns the budget, which the run's campaigns hash.
     ///
     /// # Errors
@@ -459,6 +469,22 @@ mod tests {
             "header\ncell-a cell-b\nacc 86.30%\n"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn banner_states_each_corpus_random_guess_only_when_they_disagree() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (savee, tess) = (CorpusSpec::savee(), CorpusSpec::tess());
+        let crema = CorpusSpec::crema_d();
+        let guess = |corpora: &[&CorpusSpec]| {
+            let (text, _) = banner_text("T", corpora).unwrap();
+            text.split("random guess = ").nth(1).unwrap().trim_end_matches(")\n").to_string()
+        };
+        assert_eq!(guess(&[&savee, &tess]), "14.29%");
+        assert_eq!(
+            guess(&[&savee, &tess, &crema]),
+            "SAVEE 14.29% / TESS 14.29% / CREMA-D 16.67%"
+        );
     }
 
     #[test]

@@ -60,15 +60,16 @@ pub enum DurableError {
         /// Which operation was cut short.
         detail: String,
     },
-    /// The journal refused an append because an earlier fsync failed. Once
-    /// an fsync errors, the kernel may have dropped the dirty pages — the
-    /// journal's on-disk tail is unknowable — so the handle latches and
-    /// every later append is refused until the file is reopened (which
-    /// re-verifies the tail from disk).
+    /// The journal refused an append because an earlier fsync failed (or a
+    /// failed write could not be cut back). Once an fsync errors, the
+    /// kernel may have dropped the dirty pages — the journal's on-disk tail
+    /// is unknowable — so the handle latches and every later append is
+    /// refused until [`crate::Journal::reopen_with`] cuts the file back to
+    /// the last record the handle synced and re-verifies it.
     Poisoned {
         /// The journal file whose fsync failed.
         path: String,
-        /// The fsync failure that latched the handle.
+        /// The failure that latched the handle.
         cause: String,
     },
     /// The append was refused because the writer's fencing token is stale:
@@ -139,7 +140,8 @@ impl DurableError {
 }
 
 /// A damage site that recovery detected *and repaired* by falling back to
-/// the last valid state. Reported, never silent.
+/// the last valid state, or a hole it detected in a stream that scans
+/// clean ([`Defect::RecordGap`]). Reported, never silent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Defect {
     /// The journal ended mid-record (kill during append); the tail was
@@ -221,6 +223,18 @@ pub enum Defect {
         /// Record index (0-based) of the first divergence.
         at: u64,
     },
+    /// A journal that scans clean skips record sequence numbers: its writer
+    /// counted these records but this copy never took them (a degraded
+    /// writer journaled them elsewhere or nowhere). Nothing is repaired;
+    /// positions after the gap do not match the writer's counters.
+    RecordGap {
+        /// The journal file.
+        path: String,
+        /// The first sequence number missing.
+        seq: u64,
+        /// How many consecutive sequence numbers are missing.
+        missing: u64,
+    },
     /// A scrub pass repaired a replica (re-ship or rebuild). Always
     /// accompanied by the [`Defect::ReplicaLag`] / [`Defect::ReplicaDiverged`]
     /// that triggered it; counted separately so health views can report
@@ -264,6 +278,9 @@ impl core::fmt::Display for Defect {
             }
             Defect::ReplicaDiverged { path, at } => {
                 write!(f, "replica diverged: {path} differs from its primary at record {at}")
+            }
+            Defect::RecordGap { path, seq, missing } => {
+                write!(f, "record gap: {path} skips {missing} record(s) from seq {seq}")
             }
             Defect::ScrubRepaired { path, records } => {
                 write!(f, "scrub repaired: {path} rebuilt to {records} record(s)")

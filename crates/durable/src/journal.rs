@@ -72,8 +72,13 @@ pub struct Journal {
     /// Set to the fsync failure message once a sync fails. A failed fsync
     /// means the kernel may have dropped the dirty pages — the on-disk tail
     /// is unknowable — so the handle refuses every later append
-    /// ([`DurableError::Poisoned`]) until the file is reopened.
+    /// ([`DurableError::Poisoned`]) until [`Journal::reopen_with`] cuts the
+    /// file back to `synced`.
     poisoned: Option<String>,
+    /// Byte offset where the last record this handle synced ends (the
+    /// header's end for a fresh journal): everything before it is
+    /// committed, and nothing after it is.
+    synced: u64,
     /// One-shot injected fsync failure (armed by crash plans).
     fail_fsync: bool,
     /// Fsync stall ticks accumulated since the last
@@ -213,7 +218,12 @@ impl Journal {
         bytes.extend_from_slice(&header.into_bytes());
         write_frame(file.as_mut(), path, &bytes)?;
         let stalled = file.fsync().map_err(|e| DurableError::io(path, "fsync", &e))?;
-        Ok(Journal { path: path.to_path_buf(), file, poisoned: None, fail_fsync: false, stalled })
+        Ok(Journal::handle(path, file, HEADER_LEN, stalled))
+    }
+
+    /// A healthy handle on `file`, whose committed records end at `synced`.
+    fn handle(path: &Path, file: Box<dyn VfsFile>, synced: u64, stalled: u64) -> Journal {
+        Journal { path: path.to_path_buf(), file, poisoned: None, synced, fail_fsync: false, stalled }
     }
 
     /// Opens (or creates) the journal at `path`, replays every committed
@@ -243,28 +253,54 @@ impl Journal {
         if !path.exists() {
             return Ok((Journal::create_with(path, vfs)?, Vec::new(), Vec::new()));
         }
+        Journal::open_upto(path, vfs, u64::MAX)
+    }
+
+    /// Reopens this handle's file through `vfs`, repairing it as
+    /// [`Journal::open_with`] does, but first drops every byte past the
+    /// end of the last record this handle synced. A record whose fsync
+    /// failed may still sit in the page cache, whole; it was never
+    /// committed, and a journal that appended past it would break the
+    /// prefix rule (nothing after an un-durable record may be durable), so
+    /// it never survives the reopen. This is how a writer resumes on a
+    /// poisoned handle.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Journal::open_with`]; a file that vanished is an
+    /// [`DurableError::Io`] error here, not a fresh journal.
+    pub fn reopen_with(&self, vfs: &dyn Vfs) -> Result<Journal, DurableError> {
+        Journal::open_upto(&self.path, vfs, self.synced).map(|(journal, _, _)| journal)
+    }
+
+    /// Opens the journal at `path`, replays the committed records in its
+    /// first `limit` bytes, and truncates the file to the last of them.
+    fn open_upto(
+        path: &Path,
+        vfs: &dyn Vfs,
+        limit: u64,
+    ) -> Result<(Journal, Vec<Record>, Vec<Defect>), DurableError> {
         let bytes = vfs.read(path).map_err(|e| DurableError::io(path, "read", &e))?;
         let origin = path.display().to_string();
         check_header(&bytes, &origin)?;
+        let kept = &bytes[..bytes.len().min(usize::try_from(limit).unwrap_or(usize::MAX))];
         let mut records = Vec::new();
         let (defect, committed) =
-            scan_frames(&bytes, HEADER_LEN as usize, &origin, |f| records.push(f.to_record()));
+            scan_frames(kept, HEADER_LEN as usize, &origin, |f| records.push(f.to_record()));
 
         let mut file = vfs.open(path, false).map_err(|e| DurableError::io(path, "open", &e))?;
         let mut stalled = 0;
         if committed < bytes.len() {
-            // Damage found: drop everything after the last committed record
-            // so the next append starts from a verified tail. Records after
-            // a corrupt one are unreachable by the forward scan — framing is
-            // untrustworthy past the first bad CRC — and are discarded with it.
+            // Damage found, or bytes past the limit: drop everything after
+            // the last committed record so the next append starts from a
+            // verified tail. Records after a corrupt one are unreachable by
+            // the forward scan — framing is untrustworthy past the first
+            // bad CRC — and are discarded with it.
             file.truncate(committed as u64).map_err(|e| DurableError::io(path, "truncate", &e))?;
             stalled = file.fsync().map_err(|e| DurableError::io(path, "fsync", &e))?;
         }
-        Ok((
-            Journal { path: path.to_path_buf(), file, poisoned: None, fail_fsync: false, stalled },
-            records,
-            defect.into_iter().collect(),
-        ))
+        let journal = Journal::handle(path, file, committed as u64, stalled);
+        Ok((journal, records, defect.into_iter().collect()))
     }
 
     /// Read-only verification: reads the journal at `path` once, replays
@@ -357,16 +393,26 @@ impl Journal {
     /// Appends a record and syncs it to disk. On return the record is
     /// committed: a crash immediately after cannot lose it.
     ///
+    /// A failed write cuts the file back to the last committed record
+    /// before returning, so whatever part of the frame landed cannot sit
+    /// under the next append.
+    ///
     /// # Errors
     ///
     /// [`DurableError::Poisoned`] if an earlier fsync failed — after a
     /// failed sync the on-disk tail is unknowable, so the handle refuses
-    /// all further appends; reopen the file to re-verify the tail. A fsync
-    /// failure on *this* call latches the handle and returns the error.
+    /// all further appends; [`Journal::reopen_with`] re-verifies the tail.
+    /// A fsync failure on *this* call latches the handle and returns the
+    /// error, and so does a failed write whose cut-back fails.
     pub fn append(&mut self, kind: u8, seq: u64, data: &[u8]) -> Result<(), DurableError> {
         self.check_poison()?;
         let frame = encode_record(kind, seq, data);
-        write_frame(self.file.as_mut(), &self.path, &frame)?;
+        if let Err(e) = write_frame(self.file.as_mut(), &self.path, &frame) {
+            if let Err(cut) = self.file.truncate(self.synced) {
+                self.poisoned = Some(format!("{e}; cutting the torn frame failed: {cut}"));
+            }
+            return Err(e);
+        }
         if self.fail_fsync {
             self.fail_fsync = false;
             let cause = "injected fsync failure".to_string();
@@ -383,6 +429,7 @@ impl Journal {
                 return Err(DurableError::io(&self.path, "fsync", &e));
             }
         }
+        self.synced += frame.len() as u64;
         Ok(())
     }
 
@@ -570,6 +617,49 @@ mod tests {
         let (mut j, records, _defects) = Journal::open(&path).unwrap();
         assert!(!records.is_empty());
         j.append(1, 9, b"after reopen").unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_a_poisoned_handle_drops_the_record_whose_fsync_failed() {
+        let dir = scratch("reopen");
+        let path = dir.join("journal.log");
+        let mut j = Journal::create(&path).unwrap();
+        j.append(1, 0, b"committed").unwrap();
+        j.inject_fsync_failure();
+        assert!(j.append(1, 1, b"unsynced").is_err());
+        let mut j = j.reopen_with(&OsVfs).unwrap();
+        assert!(!j.is_poisoned());
+        j.append(1, 2, b"after reopen").unwrap();
+        drop(j);
+        let (_j, records, defects) = Journal::open(&path).unwrap();
+        assert!(defects.is_empty(), "{defects:?}");
+        let kept: Vec<_> = records.iter().map(|r| r.data.as_slice()).collect();
+        assert_eq!(kept, [b"committed".as_slice(), b"after reopen"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_append_that_returned_ok_is_recovered_after_short_writes() {
+        use crate::vfs::{FaultPlan, FaultVfs};
+        let dir = scratch("short");
+        let path = dir.join("journal.log");
+        // Half the writes land half a frame; the header's write and fsync
+        // pass clean.
+        let plan = FaultPlan { short_write_ppm: 500_000, warmup_ops: 2, ..FaultPlan::quiet(5) };
+        let vfs = FaultVfs::new(plan);
+        let mut j = Journal::create_with(&path, &vfs).unwrap();
+        let mut committed = Vec::new();
+        for seq in 0..24u64 {
+            if j.append(1, seq, &seq.to_le_bytes()).is_ok() {
+                committed.push(seq);
+            }
+        }
+        assert!(committed.len() > 4 && committed.len() < 20, "{committed:?}");
+        drop(j);
+        let (_j, records, defects) = Journal::open(&path).unwrap();
+        assert!(defects.is_empty(), "{defects:?}");
+        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), committed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -48,7 +48,7 @@ pub use campaign::{
 };
 pub use error::{Defect, DurableError};
 pub use journal::{Frame, Journal, Record, JOURNAL_MAGIC};
-pub use ship::{compare_streams, rebuild_journal_with, StreamDiff};
+pub use ship::{compare_streams, merge_streams, rebuild_journal_with, StreamDiff};
 pub use snapshot::{
     decode_container, encode_container, read_container, read_container_with, write_container,
     write_container_with,

@@ -4,20 +4,24 @@
 //! follower's journal right after the primary commit, record by record, so
 //! a replica is a plain [`Journal`] whose bytes match the primary's when
 //! nothing went wrong. When something did — a crash between the primary
-//! commit and the ship, a torn ship, bit rot — the scrubber needs two
+//! commit and the ship, a torn ship, bit rot, or a degraded writer that
+//! journaled some records on one copy only — the scrubber needs three
 //! primitives, and this module holds them:
 //!
-//! - [`compare_streams`] classifies a replica's records against its
-//!   primary's: identical, a strict prefix ([`StreamDiff::ReplicaLag`], the
+//! - [`merge_streams`] builds the repair target: the union of both copies'
+//!   records in sequence order, so a record either copy holds survives;
+//! - [`compare_streams`] classifies a replica's records against that
+//!   target: identical, a strict prefix ([`StreamDiff::ReplicaLag`], the
 //!   normal state right after a crash mid-ship), or diverged at a record
 //!   index ([`StreamDiff::Diverged`], bit rot or a torn ship). The scrubber
 //!   maps these onto [`Defect::ReplicaLag`](crate::Defect::ReplicaLag) /
 //!   [`Defect::ReplicaDiverged`](crate::Defect::ReplicaDiverged);
 //! - [`rebuild_journal_with`] read-repairs by writing a fresh copy of the
-//!   primary's records.
+//!   target's records.
 
 use crate::error::DurableError;
 use crate::journal::{Journal, Record};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// How a replica's record stream relates to its primary's.
@@ -40,11 +44,26 @@ pub enum StreamDiff {
     },
 }
 
+/// Merges two copies of one writer's record stream into the union of
+/// their records in sequence order, each record once (the primary's when
+/// both copies hold its sequence number).
+///
+/// Each copy is a subsequence of the writer's stream: a writer whose
+/// primary failed, or whose gauge held it at a replica-only rung, put some
+/// records on the replica alone, and a latched replica misses records the
+/// primary took. The union is the most complete account the two copies
+/// give, and a repair built from it never drops a record either held.
+pub fn merge_streams(primary: &[Record], replica: &[Record]) -> Vec<Record> {
+    let mut by_seq: BTreeMap<u64, &Record> = replica.iter().map(|r| (r.seq, r)).collect();
+    by_seq.extend(primary.iter().map(|r| (r.seq, r)));
+    by_seq.into_values().cloned().collect()
+}
+
 /// Classifies `replica` against `primary` record-by-record.
 ///
-/// Replication ships synchronously *after* the primary commit, so a
-/// replica can legitimately trail but never lead: extra replica records
-/// beyond the primary's stream are divergence, not lag.
+/// The scrubber passes the [`merge_streams`] target as `primary`, which
+/// holds every replica record, so a replica can trail it but never lead:
+/// extra replica records beyond it are divergence, not lag.
 pub fn compare_streams(primary: &[Record], replica: &[Record]) -> StreamDiff {
     for (i, (p, r)) in primary.iter().zip(replica.iter()).enumerate() {
         if p != r {
@@ -112,6 +131,20 @@ mod tests {
         let mut ahead = primary.clone();
         ahead.push(Record { kind: 1, seq: 99, data: Vec::new() });
         assert_eq!(compare_streams(&primary, &ahead), StreamDiff::Diverged { at: 4 });
+    }
+
+    #[test]
+    fn merge_keeps_every_record_either_copy_holds_once_in_seq_order() {
+        let all = batch(6);
+        let primary = [&all[0], &all[2], &all[3], &all[5]].map(Record::clone);
+        let replica = [&all[0], &all[1], &all[2], &all[4]].map(Record::clone);
+        assert_eq!(merge_streams(&primary, &replica), all);
+        assert_eq!(merge_streams(&all, &all[..3]), all, "pure lag merges to the primary");
+        assert_eq!(merge_streams(&all[..2], &all), all);
+        // A shared seq keeps the primary's record.
+        let mut rotted = all.clone();
+        rotted[1].data = b"tampered".to_vec();
+        assert_eq!(merge_streams(&all, &rotted), all);
     }
 
     #[test]

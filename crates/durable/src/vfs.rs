@@ -178,14 +178,6 @@ impl FaultPlan {
             warmup_ops: 0,
         }
     }
-
-    /// Whether any fault is armed.
-    pub fn is_armed(&self) -> bool {
-        self.byte_budget != u64::MAX
-            || self.eio_ppm != 0
-            || self.stall_every != 0
-            || self.short_write_ppm != 0
-    }
 }
 
 #[derive(Debug, Default)]
@@ -222,11 +214,6 @@ impl FaultVfs {
             plan,
             state: Arc::new(Mutex::new(FaultState { rng: plan.seed, ..FaultState::default() })),
         }
-    }
-
-    /// The plan this nemesis runs.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Total fsync stall ticks charged so far.
@@ -380,7 +367,6 @@ mod tests {
             assert_eq!(f.write(b"!!").unwrap(), 2);
         }
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        assert!(!FaultPlan::quiet(7).is_armed());
         assert_eq!(fault.free_space(&b), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }

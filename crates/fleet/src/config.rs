@@ -46,20 +46,18 @@ impl Default for NetConfig {
 /// [`DiskGauge`](emoleak_stream::DiskGauge) that drives the durability
 /// degradation ladder.
 ///
-/// `plan: None` keeps shards on the real filesystem through
-/// [`OsVfs`](emoleak_durable::OsVfs) with no gauge — the pre-nemesis
-/// byte-identical path. A plan installs a seeded `FaultVfs` per shard
-/// (seed derived from the plan seed and the shard id) and the gauge with
-/// it.
+/// The plan chooses only the VFS. `plan: None` keeps shards on the real
+/// filesystem through [`OsVfs`](emoleak_durable::OsVfs); a plan installs
+/// a seeded `FaultVfs` per shard (seed derived from the plan seed and the
+/// shard id), the test seam. Every shard runs the gauge either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskConfig {
     /// The fault plan, or `None` for the real filesystem. A *quiet* plan
-    /// (all severities zero) is a valid armed state: it must be
-    /// byte-identical to `None` — that invariant is what makes the
-    /// nemesis trustworthy.
+    /// (all severities zero) must be byte-identical to `None` — that
+    /// invariant is what makes the nemesis trustworthy.
     pub plan: Option<FaultPlan>,
-    /// Hysteresis and watermark tuning for the durability ladder. Only
-    /// consulted when `plan` is armed.
+    /// Hysteresis and watermark tuning for every shard's durability
+    /// ladder.
     pub gauge: DiskGaugeConfig,
 }
 
@@ -105,8 +103,8 @@ pub struct FleetConfig {
     pub net: NetConfig,
     /// Per-shard admission tuning.
     pub admission: AdmissionConfig,
-    /// Storage fault-domain tuning. Unarmed by default: shards write
-    /// through the real filesystem with no gauge.
+    /// Storage fault-domain tuning. No fault plan by default: shards
+    /// write through the real filesystem, under the default gauge.
     pub disk: DiskConfig,
 }
 

@@ -205,9 +205,11 @@ pub struct FleetView {
     /// Every internal invariant violation the coordinator detected and
     /// survived, in detection order. Empty in a correct build.
     pub internal_errors: Vec<FleetInternalError>,
-    /// The worst storage durability level among live shards
-    /// ([`DurabilityLevel::Durable`] when nothing is live, or the disk
-    /// gauge is unarmed).
+    /// The worst storage durability level among live shards' disk gauges
+    /// ([`DurabilityLevel::Durable`] when nothing is live). Each gauge
+    /// reports its last verdict, and one on a dead disk climbs back to
+    /// `Durable` between failed probes; `unjournaled_total` is the
+    /// reliable health signal.
     pub durability_worst: DurabilityLevel,
     /// Shard-ticks spent at each durability level (indexed like
     /// [`DurabilityLevel::ALL`], best rung first), accumulated over every
@@ -1009,12 +1011,17 @@ impl FleetCoordinator {
         let replica = follower.map(|f| shard_replica_path(&self.dir, id, f));
         // Only copies that *exist* testify: `recover_run` materialises a
         // fresh empty journal for a missing path, and an empty journal
-        // must never pass for a clean account of a destroyed disk.
+        // must never pass for a clean account of a destroyed disk. A
+        // record gap is not damage: it holds records a degraded gauge
+        // kept off this copy, which `unjournaled` or the other copy
+        // accounts for.
         let runs: Vec<(RecoveredRun, bool)> = std::iter::once(primary)
             .chain(replica.clone())
             .filter(|p| p.exists())
             .filter_map(|p| recover_run(&p).ok())
-            .map(|(run, defects)| (run, defects.is_empty()))
+            .map(|(run, defects)| {
+                (run, defects.iter().all(|d| matches!(d, Defect::RecordGap { .. })))
+            })
             .collect();
         if let Some(r) = &replica {
             let _ = std::fs::remove_file(r); // consumed

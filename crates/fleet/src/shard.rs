@@ -61,8 +61,7 @@ pub struct ShardHealth {
     /// Whether the shard's replica is latched (a ship failed and no scrub
     /// has repaired it yet). Always `false` for a follower-less shard.
     pub replica_latched: bool,
-    /// The shard's storage durability level. [`DurabilityLevel::Durable`]
-    /// whenever the disk gauge is unarmed (or the shard is retired).
+    /// The shard's storage durability level, as its disk gauge reports it.
     pub durability: DurabilityLevel,
     /// Records committed in memory but journaled nowhere because the
     /// gauge had degraded — honest would-be-lost-on-crash accounting.
@@ -143,8 +142,9 @@ impl Shard {
     /// replays exactly.
     ///
     /// `disk` carries this shard's (already reseeded) fault plan and the
-    /// durability-gauge tuning. An unarmed plan puts the shard on the real
-    /// filesystem with no gauge — byte-identical to the pre-nemesis path.
+    /// durability-gauge tuning. The plan picks only the VFS: a plan puts
+    /// the shard's journals on a seeded `FaultVfs`, no plan on the real
+    /// filesystem. The gauge runs either way.
     ///
     /// Every shard is lease-gated: it serves through `lease_until` and,
     /// past it, only while a fresher grant ([`Shard::grant_lease`]) has
@@ -165,19 +165,12 @@ impl Shard {
         lease_until: u64,
     ) -> Result<Shard, emoleak_durable::DurableError> {
         let journal_path = shard_journal_path(dir, id);
-        let (vfs, gauge): (Arc<dyn Vfs>, _) = match disk.plan {
-            Some(plan) => (Arc::new(FaultVfs::new(plan)), Some(disk.gauge)),
-            None => (Arc::new(OsVfs), None),
+        let vfs: Arc<dyn Vfs> = match disk.plan {
+            Some(plan) => Arc::new(FaultVfs::new(plan)),
+            None => Arc::new(OsVfs),
         };
-        let sink = match follower {
-            Some(f) => DurableSink::create_replicated_with(
-                &journal_path,
-                &shard_replica_path(dir, id, f),
-                vfs,
-                gauge,
-            )?,
-            None => DurableSink::create_with(&journal_path, vfs, gauge)?,
-        };
+        let replica = follower.map(|f| shard_replica_path(dir, id, f));
+        let sink = DurableSink::create_with(&journal_path, replica.as_deref(), vfs, disk.gauge)?;
         let ctrl =
             AdmissionController::new(admission).with_durable(sink.clone()).with_chunk_journal();
         Ok(Shard {
@@ -422,10 +415,9 @@ impl Shard {
         }
     }
 
-    /// The shard's storage durability level: what the disk gauge reports,
-    /// or [`DurabilityLevel::Durable`] when the gauge is unarmed.
+    /// The shard's storage durability level, as its disk gauge reports it.
     pub fn durability_level(&self) -> DurabilityLevel {
-        self.sink.durability_level().unwrap_or(DurabilityLevel::Durable)
+        self.sink.durability_level()
     }
 
     /// Records that committed in memory but reached no journal because

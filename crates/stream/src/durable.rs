@@ -12,12 +12,13 @@
 //! records.
 //!
 //! Appends run inside a session's classify step or a shard's tick, where an
-//! `Err` has no caller to land in. Without a disk gauge the sink therefore
-//! latches its first failure and stops journaling, and
-//! [`DurableSink::take_error`] surfaces the failure after the run; with a
-//! gauge armed, failures walk the sink down the durability ladder instead
-//! ([`crate::disk`]). Classification and admission never block on a broken
-//! disk.
+//! `Err` has no caller to land in. Every sink therefore owns a disk gauge
+//! ([`crate::disk`]): a failed or stalled append walks the sink down the
+//! durability ladder, a record that reaches no journal is counted in
+//! [`DurableSink::unjournaled`], and clean appends climb it back.
+//! Classification and admission never block on a broken disk. Only a
+//! fencing refusal latches ([`DurableSink::take_error`]): a stale writer
+//! stops for good.
 
 use crate::disk::{DiskGauge, DiskGaugeConfig, DiskOutcome};
 use crate::ladder::Transition;
@@ -26,8 +27,8 @@ use emoleak_core::admission::{DurabilityLevel, FleetState};
 use emoleak_core::online::{InferenceLevel, Verdict};
 use emoleak_core::Rung;
 use emoleak_durable::{
-    compare_streams, rebuild_journal_with, Dec, Defect, DurableError, Enc, Journal, OsVfs,
-    Record, StreamDiff, Vfs, WireError,
+    compare_streams, merge_streams, rebuild_journal_with, Dec, Defect, DurableError, Enc,
+    Journal, OsVfs, Record, StreamDiff, Vfs, WireError,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,13 +124,8 @@ fn encode_transition<L: Rung>(clock: u64, t: Transition<L>) -> Vec<u8> {
 }
 
 /// Decodes a record written by [`encode_transition`].
-fn decode_transition<L: Rung>(data: &[u8]) -> Result<(u64, Transition<L>), WireError> {
-    let mut dec = Dec::new(data);
-    let clock = dec.u64()?;
-    let from = decode_rung(&mut dec)?;
-    let to = decode_rung(&mut dec)?;
-    dec.finish()?;
-    Ok((clock, Transition { from, to }))
+fn decode_transition<L: Rung>(dec: &mut Dec) -> Result<(u64, Transition<L>), WireError> {
+    Ok((dec.u64()?, Transition { from: decode_rung(dec)?, to: decode_rung(dec)? }))
 }
 
 /// Reads one rung's index code.
@@ -157,19 +153,17 @@ fn encode_emission(e: &RegionEmission) -> Vec<u8> {
     enc.into_bytes()
 }
 
-fn decode_emission(region: u64, data: &[u8]) -> Result<RegionEmission, WireError> {
-    let mut dec = Dec::new(data);
+fn decode_emission(region: u64, dec: &mut Dec) -> Result<RegionEmission, WireError> {
     let window = dec.u64()? as usize;
     let start = dec.u64()? as usize;
     let end = dec.u64()? as usize;
     let truth = dec.u64()? as usize;
-    let level = decode_rung(&mut dec)?;
+    let level = decode_rung(dec)?;
     let is_speech = dec.u8()? != 0;
     let has_label = dec.u8()? != 0;
     let label_raw = dec.u64()? as usize;
     let deadline_missed = dec.u8()? != 0;
     let latency = Duration::from_nanos(dec.u64()?);
-    dec.finish()?;
     Ok(RegionEmission {
         region,
         window,
@@ -203,6 +197,7 @@ struct SinkInner {
     /// when replication is off.
     replica: Option<Journal>,
     seq: u64,
+    /// The fencing refusal, latched: a fenced writer journals nothing more.
     error: Option<DurableError>,
     /// Replica failures latch separately: a dead follower must never stop
     /// the primary from committing.
@@ -216,12 +211,11 @@ struct SinkInner {
     /// The VFS every durable byte of this sink crosses — `OsVfs` in
     /// production, a `FaultVfs` under the disk nemesis.
     vfs: Arc<dyn Vfs>,
-    /// The disk-health gauge driving the durability ladder. `None` keeps
-    /// the classic latch-on-first-error semantics.
-    gauge: Option<DiskGauge>,
-    /// Records that committed in memory but reached no journal because the
-    /// gauge had degraded (or the degraded-mode write failed) — the honest
-    /// would-be-lost-on-crash count.
+    /// The disk-health gauge driving the durability ladder.
+    gauge: DiskGauge,
+    /// Records that committed in memory but reached no journal, because
+    /// the gauge had degraded or every write of the record failed — the
+    /// honest would-be-lost-on-crash count.
     unjournaled: u64,
     /// Gauge transitions as `(seq, from, to)`, drained by the shard for
     /// service-log events and tick accounting.
@@ -233,9 +227,6 @@ struct SinkInner {
 #[derive(Clone)]
 pub struct DurableSink {
     inner: Arc<Mutex<SinkInner>>,
-    /// Whether a disk gauge is armed. Fixed at creation, so the gauge
-    /// readers answer an unarmed sink without taking the lock.
-    gauged: bool,
 }
 
 impl core::fmt::Debug for DurableSink {
@@ -249,54 +240,32 @@ impl core::fmt::Debug for DurableSink {
     }
 }
 
-/// The classic append path: first failure latches and journaling stops.
-fn append_direct(inner: &mut SinkInner, kind: u8, data: &[u8]) {
+/// The sink's one append path: journaling follows the gauge's current
+/// durability level, every outcome feeds the gauge, and a record that
+/// reaches no journal is counted as unjournaled.
+fn append_record(inner: &mut SinkInner, kind: u8, data: &[u8]) {
     let seq = inner.seq;
-    if let Err(e) = inner.journal.append(kind, seq, data) {
-        inner.error = Some(e);
-        return; // the record never committed: do not ship it
-    }
     inner.seq += 1;
-    // Synchronous ship to the follower. The replica trails the primary
-    // by at most the record currently in flight.
-    let tear = inner.tear_replica.take();
-    if inner.replica_error.is_some() {
-        return; // replica latched: the scrubber will re-ship
+    let (journaled, outcome) = write_record(inner, inner.gauge.level(), kind, seq, data);
+    if !journaled {
+        inner.unjournaled += 1;
     }
-    if let Some(replica) = inner.replica.as_mut() {
-        let result = match tear {
-            Some(frac) => replica.append_torn(kind, seq, data, frac).and(Err(
-                DurableError::Injected {
-                    op: seq,
-                    detail: "replica ship torn mid-write".into(),
-                },
-            )),
-            None => replica.append(kind, seq, data),
-        };
-        if let Err(e) = result {
-            inner.replica_error = Some(e);
-        }
+    if let Some(t) = inner.gauge.observe(outcome) {
+        apply_transition(inner, seq, t);
     }
 }
 
-/// Appends one record through the gauge when one is armed, else directly.
-fn write_record(inner: &mut SinkInner, kind: u8, data: &[u8]) {
-    if inner.gauge.is_some() {
-        append_gauged(inner, kind, data);
-    } else {
-        append_direct(inner, kind, data);
-    }
-}
-
-/// The gauge-armed append path: journaling follows the current durability
-/// level, failures feed the gauge instead of latching, and records that
-/// reach no journal are counted as unjournaled.
-fn append_gauged(inner: &mut SinkInner, kind: u8, data: &[u8]) {
-    let level = inner.gauge.as_ref().map(|g| g.level()).unwrap_or(DurabilityLevel::Durable);
-    let free = inner.vfs.free_space(inner.journal.path());
-    let seq = inner.seq;
-    inner.seq += 1;
-    let mut outcome = DiskOutcome { errored: false, stall_ticks: 0, free_space: free };
+/// Writes one record to the copies `level` journals and returns whether
+/// any copy took it, with the outcome the gauge scores.
+fn write_record(
+    inner: &mut SinkInner,
+    level: DurabilityLevel,
+    kind: u8,
+    seq: u64,
+    data: &[u8],
+) -> (bool, DiskOutcome) {
+    let free_space = inner.vfs.free_space(inner.journal.path());
+    let mut outcome = DiskOutcome { errored: false, stall_ticks: 0, free_space };
     let mut journaled = false;
     if level.journals_primary() {
         let result = inner.journal.append(kind, seq, data);
@@ -333,118 +302,53 @@ fn append_gauged(inner: &mut SinkInner, kind: u8, data: &[u8]) {
             }
         }
     }
-    if !journaled {
-        inner.unjournaled += 1;
-    }
-    let transition = inner.gauge.as_mut().and_then(|g| g.observe(outcome));
-    if let Some(t) = transition {
-        apply_transition(inner, seq, t);
-    }
+    (journaled, outcome)
 }
 
 /// Bookkeeping for one gauge transition: log it, reopen any journal the
 /// climb re-enables (its handle may be poisoned by the very faults that
-/// degraded it, and reopen truncates a torn tail), and journal the
-/// transition record best-effort at the *new* level.
+/// degraded it; the reopen cuts the file back to the handle's last synced
+/// record, so a record whose fsync failed never stays under later ones),
+/// and journal the transition record best-effort at the *new* level: its
+/// outcome does not feed the gauge, and it takes a seq only if a copy
+/// took it.
 fn apply_transition(inner: &mut SinkInner, tick: u64, t: Transition<DurabilityLevel>) {
     inner.durability_log.push((tick, t.from, t.to));
     if t.to < t.from {
         if t.to.journals_primary() {
-            let path = inner.journal.path().to_path_buf();
-            if let Ok((journal, _, _)) = Journal::open_with(&path, inner.vfs.as_ref()) {
+            if let Ok(journal) = inner.journal.reopen_with(inner.vfs.as_ref()) {
                 inner.journal = journal;
             }
             // A failed reopen leaves the old handle; the next append's
             // error feeds the gauge and degrades again.
         }
         if t.to.journals_replica() {
-            if let Some(path) = inner.replica.as_ref().map(|r| r.path().to_path_buf()) {
-                if let Ok((journal, _, _)) = Journal::open_with(&path, inner.vfs.as_ref()) {
-                    inner.replica = Some(journal);
-                    inner.replica_error = None;
-                }
+            if let Some(Ok(journal)) =
+                inner.replica.as_ref().map(|r| r.reopen_with(inner.vfs.as_ref()))
+            {
+                inner.replica = Some(journal);
+                inner.replica_error = None;
             }
         }
     }
     let data = encode_transition(tick, t);
-    let seq = inner.seq;
-    if t.to.journals_primary() {
-        if inner.journal.append(REC_DURABILITY, seq, &data).is_ok() {
-            inner.seq += 1;
-            let _ = inner.journal.take_stalled_ticks();
-            if inner.replica_error.is_none() {
-                if let Some(replica) = inner.replica.as_mut() {
-                    if let Err(e) = replica.append(REC_DURABILITY, seq, &data) {
-                        inner.replica_error = Some(e);
-                    }
-                    let _ = replica.take_stalled_ticks();
-                }
-            }
-        }
-    } else if t.to.journals_replica() && inner.replica_error.is_none() {
-        if let Some(replica) = inner.replica.as_mut() {
-            if replica.append(REC_DURABILITY, seq, &data).is_ok() {
-                inner.seq += 1;
-            }
-            let _ = replica.take_stalled_ticks();
-        }
-    }
+    let (journaled, _) = write_record(inner, t.to, REC_DURABILITY, inner.seq, &data);
+    inner.seq += u64::from(journaled);
 }
 
 impl DurableSink {
     /// Creates a fresh journal at `path` (truncating an existing one — each
-    /// service run is its own journal).
+    /// service run is its own journal) on the real filesystem, with the
+    /// default disk gauge.
     ///
     /// # Errors
     ///
     /// [`DurableError::Io`] when the journal cannot be created.
     pub fn create(path: &Path) -> Result<DurableSink, DurableError> {
-        DurableSink::create_with(path, Arc::new(OsVfs), None)
+        DurableSink::create_with(path, None, Arc::new(OsVfs), DiskGaugeConfig::default())
     }
 
-    /// [`DurableSink::create`] with every durable byte routed through `vfs`
-    /// and, when `gauge` is set, the disk-health gauge armed: journaling
-    /// failures feed the gauge and walk the sink down the durability
-    /// ladder instead of latching on the first error.
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError::Io`] when the journal cannot be created.
-    pub fn create_with(
-        path: &Path,
-        vfs: Arc<dyn Vfs>,
-        gauge: Option<DiskGaugeConfig>,
-    ) -> Result<DurableSink, DurableError> {
-        let journal = Journal::create_with(path, vfs.as_ref())?;
-        Ok(DurableSink::over(journal, None, vfs, gauge))
-    }
-
-    /// A sink over freshly created journals, gauged when `gauge` is set.
-    fn over(
-        journal: Journal,
-        replica: Option<Journal>,
-        vfs: Arc<dyn Vfs>,
-        gauge: Option<DiskGaugeConfig>,
-    ) -> DurableSink {
-        DurableSink {
-            gauged: gauge.is_some(),
-            inner: Arc::new(Mutex::new(SinkInner {
-                journal,
-                replica,
-                seq: 0,
-                error: None,
-                replica_error: None,
-                tear_replica: None,
-                fence: None,
-                vfs,
-                gauge: gauge.map(DiskGauge::new),
-                unjournaled: 0,
-                durability_log: Vec::new(),
-            })),
-        }
-    }
-
-    /// Creates a fresh journal at `path` plus a synchronous replica at
+    /// [`DurableSink::create`] plus a synchronous replica at
     /// `replica_path`. Every committed record is shipped to the replica
     /// immediately after the primary fsync; a replica failure latches
     /// separately ([`DurableSink::take_replica_error`]) and never blocks
@@ -454,25 +358,43 @@ impl DurableSink {
     ///
     /// [`DurableError::Io`] when either journal cannot be created.
     pub fn create_replicated(path: &Path, replica_path: &Path) -> Result<DurableSink, DurableError> {
-        DurableSink::create_replicated_with(path, replica_path, Arc::new(OsVfs), None)
+        let vfs = Arc::new(OsVfs);
+        DurableSink::create_with(path, Some(replica_path), vfs, DiskGaugeConfig::default())
     }
 
-    /// [`DurableSink::create_replicated`] with every durable byte routed
-    /// through `vfs` and an optionally armed disk-health gauge (see
-    /// [`DurableSink::create_with`]).
+    /// A sink journaling to `path` and, when `replica` is set, shipping
+    /// each record to a synchronous replica there. Every durable byte
+    /// crosses `vfs` — [`OsVfs`] for the real disk, a
+    /// [`FaultVfs`](emoleak_durable::FaultVfs) under the disk nemesis — and
+    /// the disk gauge tuned by `gauge` walks the sink down the durability
+    /// ladder when appends fail or stall.
     ///
     /// # Errors
     ///
     /// [`DurableError::Io`] when either journal cannot be created.
-    pub fn create_replicated_with(
+    pub fn create_with(
         path: &Path,
-        replica_path: &Path,
+        replica: Option<&Path>,
         vfs: Arc<dyn Vfs>,
-        gauge: Option<DiskGaugeConfig>,
+        gauge: DiskGaugeConfig,
     ) -> Result<DurableSink, DurableError> {
         let journal = Journal::create_with(path, vfs.as_ref())?;
-        let replica = Journal::create_with(replica_path, vfs.as_ref())?;
-        Ok(DurableSink::over(journal, Some(replica), vfs, gauge))
+        let replica = replica.map(|r| Journal::create_with(r, vfs.as_ref())).transpose()?;
+        Ok(DurableSink {
+            inner: Arc::new(Mutex::new(SinkInner {
+                journal,
+                replica,
+                seq: 0,
+                error: None,
+                replica_error: None,
+                tear_replica: None,
+                fence: None,
+                vfs,
+                gauge: DiskGauge::new(gauge),
+                unjournaled: 0,
+                durability_log: Vec::new(),
+            })),
+        })
     }
 
     /// Arms the fencing guard: every later append checks `token` against
@@ -495,7 +417,7 @@ impl DurableSink {
     fn append(&self, kind: u8, data: &[u8]) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.error.is_some() {
-            return; // latched: first failure wins, journaling stops
+            return; // fenced: a stale writer journals nothing more
         }
         if let Some(fence) = inner.fence.as_mut() {
             let current = fence.authority.load(Ordering::SeqCst);
@@ -515,13 +437,10 @@ impl DurableSink {
                 fence.stamped = true;
                 let mut enc = Enc::new();
                 enc.u64(fence.token);
-                write_record(&mut inner, REC_FENCE_EPOCH, &enc.into_bytes());
-                if inner.error.is_some() {
-                    return;
-                }
+                append_record(&mut inner, REC_FENCE_EPOCH, &enc.into_bytes());
             }
         }
-        write_record(&mut inner, kind, data);
+        append_record(&mut inner, kind, data);
     }
 
     /// Journals one committed region emission (append + fsync).
@@ -583,18 +502,18 @@ impl DurableSink {
         self.append(REC_RUN_SUMMARY, &enc.into_bytes());
     }
 
-    /// The gauge's current durability level; `None` when no gauge is armed
-    /// (classic latch semantics).
-    pub fn durability_level(&self) -> Option<DurabilityLevel> {
-        if !self.gauged {
-            return None;
-        }
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.gauge.as_ref().map(|g| g.level())
+    /// The gauge's current durability level: its last verdict, not a
+    /// promise. A sink with no working replica climbs back from
+    /// `ReplicaOnly` on appends that journaled nothing, so on a dead disk
+    /// it reports `Durable` between failed probes;
+    /// [`DurableSink::unjournaled`] is the reliable health signal.
+    pub fn durability_level(&self) -> DurabilityLevel {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).gauge.level()
     }
 
-    /// Records that committed in memory but reached no journal because the
-    /// gauge had degraded — the honest would-be-lost-on-crash count.
+    /// Records that committed in memory but reached no journal, because
+    /// the gauge had degraded or every write of the record failed — the
+    /// honest would-be-lost-on-crash count.
     pub fn unjournaled(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).unjournaled
     }
@@ -604,15 +523,15 @@ impl DurableSink {
     pub fn take_durability_transitions(
         &self,
     ) -> Vec<(u64, DurabilityLevel, DurabilityLevel)> {
-        if !self.gauged {
-            return Vec::new();
-        }
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut inner.durability_log)
     }
 
-    /// The first journaling failure, if any (taking it resets the latch but
-    /// journaling does not resume for this run).
+    /// The fencing refusal ([`DurableError::Fenced`]), once the sink's
+    /// writer has been fenced. It is the only error the sink latches: disk
+    /// failures feed the gauge instead, so a journal-health check also
+    /// reads [`DurableSink::unjournaled`]. Taking the refusal resets the
+    /// latch, and the next append is refused again.
     pub fn take_error(&self) -> Option<DurableError> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).error.take()
     }
@@ -643,11 +562,11 @@ impl DurableSink {
     /// follower; `None` turns replication off (the follower chain has no
     /// peer left).
     ///
-    /// The new copy is the primary's records, unless the primary's scan
-    /// finds damage while the old replica scans clean with at least as
-    /// many records: then the old replica is the better copy, and it is
+    /// The new copy holds every record the primary or the old replica
+    /// holds, in sequence order ([`merge_streams`]). The old replica is
     /// read before its file is deleted, so a rehome never turns one good
-    /// copy into none.
+    /// copy into none, and never drops a record a degraded writer
+    /// journaled on the replica alone.
     ///
     /// A rebuild failure latches [`DurableSink::take_replica_error`]
     /// instead of erroring out: a dead follower must never stop the
@@ -679,6 +598,12 @@ impl DurableSink {
     /// Anti-entropy scrub: CRC-verifies the replica against the primary,
     /// classifies the difference, and performs deterministic read-repair.
     ///
+    /// The repair target is the union of both copies' verified records in
+    /// sequence order ([`merge_streams`]). A writer whose primary failed,
+    /// or whose gauge held it at `ReplicaOnly`, journaled some records on
+    /// the replica alone; a replica that holds those and every primary
+    /// record is healthy, and a repair never drops one of them.
+    ///
     /// Each journal is read once. A healthy replica is byte-identical to its
     /// primary, so its pass costs one byte compare plus one CRC pass over
     /// the shared bytes, which verifies both copies and copies no record.
@@ -700,11 +625,11 @@ impl DurableSink {
     /// is off.
     pub fn scrub_replica(&self) -> Vec<Defect> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // While the gauge holds the sink below full durability the primary
-        // is *behind the replica by policy* — "repairing" the replica back
-        // to the primary's stream would destroy the very records degraded
-        // mode preserved. Scrubbing resumes once the gauge climbs back.
-        if inner.gauge.as_ref().is_some_and(|g| g.level() != DurabilityLevel::Durable) {
+        // Below full durability the writer journals on the replica alone
+        // or nowhere, and a poisoned primary's tail is unknowable until
+        // the climb back reopens it; the scrub, which repairs through the
+        // same sick disk, waits for both.
+        if inner.gauge.level() != DurabilityLevel::Durable || inner.journal.is_poisoned() {
             return Vec::new();
         }
         let vfs = Arc::clone(&inner.vfs);
@@ -713,8 +638,8 @@ impl DurableSink {
         };
         let replica_path = replica.path().to_path_buf();
         let primary_path = inner.journal.path().to_path_buf();
-        // The primary handle has fsynced every committed record, so the
-        // file content *is* the committed stream.
+        // An unpoisoned primary handle has fsynced every record it holds,
+        // so the file content *is* its committed stream.
         let Ok(primary_bytes) = vfs.read(&primary_path) else {
             return Vec::new();
         };
@@ -747,7 +672,10 @@ impl DurableSink {
             // trustworthy — diverged from record 0, full rebuild.
             Some(Err(_)) | None => false,
         };
-        match (scan_clean, compare_streams(&primary, &replica_records)) {
+        // The repair target keeps every record either copy holds: a
+        // degraded writer may have journaled some on the replica alone.
+        let target = merge_streams(&primary, &replica_records);
+        match (scan_clean, compare_streams(&target, &replica_records)) {
             (true, StreamDiff::Identical) => {
                 return defects; // the same records: nothing to repair
             }
@@ -774,13 +702,13 @@ impl DurableSink {
         // append just the suffix, but a single rebuild path keeps repair
         // byte-reproducible in every case (the journal format is
         // append-deterministic, so rebuild == re-ship).
-        match rebuild_journal_with(&replica_path, &primary, vfs.as_ref()) {
+        match rebuild_journal_with(&replica_path, &target, vfs.as_ref()) {
             Ok(fresh) => {
                 inner.replica = Some(fresh);
                 inner.replica_error = None; // repaired: shipping resumes
                 defects.push(Defect::ScrubRepaired {
                     path: replica_display,
-                    records: primary.len() as u64,
+                    records: target.len() as u64,
                 });
             }
             Err(e) => {
@@ -791,26 +719,24 @@ impl DurableSink {
     }
 }
 
-/// The records a re-homed replica is built from: the primary's, unless the
-/// primary's scan finds damage while the current replica scans clean with
-/// at least as many records — then the replica is the better copy.
+/// The records a re-homed replica is built from: every record the
+/// primary's or the current replica's verified prefix holds
+/// ([`merge_streams`]), so the move keeps a record only one copy took.
 fn rehome_source(inner: &SinkInner, vfs: &dyn Vfs) -> Result<Vec<Record>, DurableError> {
-    let (primary, defects) = Journal::verify_with(inner.journal.path(), vfs)?;
-    if defects.is_empty() {
-        return Ok(primary);
-    }
+    let (primary, _) = Journal::verify_with(inner.journal.path(), vfs)?;
     let replica = inner.replica.as_ref().and_then(|r| Journal::verify_with(r.path(), vfs).ok());
     Ok(match replica {
-        Some((records, damage)) if damage.is_empty() && records.len() >= primary.len() => records,
-        _ => primary,
+        Some((records, _)) => merge_streams(&primary, &records),
+        None => primary,
     })
 }
 
 /// A service run replayed from its journal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredRun {
-    /// Committed emissions, in commit order (region counters are 1-based
-    /// and contiguous).
+    /// Committed emissions, in commit order. Region counters are 1-based
+    /// positions in this list; they match the writer's counters unless
+    /// [`recover_run`] reports a [`Defect::RecordGap`] before them.
     pub emissions: Vec<RegionEmission>,
     /// Committed ladder transitions as `(region, transition)` pairs.
     pub transitions: Vec<(u64, Transition)>,
@@ -838,6 +764,11 @@ pub struct RecoveredRun {
 /// Replays a service journal, repairing a torn tail if the writer was
 /// killed mid-append.
 ///
+/// A sink numbers its records 0, 1, 2, … and counts a record it could not
+/// journal as it goes, so a hole in a journal that scans clean is reported
+/// as a [`Defect::RecordGap`]: the writer's gauge degraded, and the
+/// missing records went to the replica only or to no journal at all.
+///
 /// # Errors
 ///
 /// [`DurableError::Format`]/[`DurableError::Version`] for a file that is
@@ -851,96 +782,71 @@ pub fn recover_run(path: &Path) -> Result<(RecoveredRun, Vec<Defect>), DurableEr
         offset: e.offset,
         detail: e.detail,
     };
-    let mut run = RecoveredRun {
-        emissions: Vec::new(),
-        transitions: Vec::new(),
-        fleet_transitions: Vec::new(),
-        sheds: Vec::new(),
-        ledgers: Vec::new(),
-        admits: Vec::new(),
-        serves: Vec::new(),
-        durability_transitions: Vec::new(),
-        fence_token: None,
-        complete: false,
-    };
+    let mut run = RecoveredRun::default();
+    let mut next_seq = 0;
+    let mut gaps = Vec::new();
     for record in records {
-        match record.kind {
-            REC_EMISSION => {
-                let region = run.emissions.len() as u64 + 1;
-                run.emissions.push(decode_emission(region, &record.data).map_err(corrupt)?);
-            }
-            REC_TRANSITION => {
-                run.transitions.push(decode_transition(&record.data).map_err(corrupt)?);
-            }
-            REC_FLEET_TRANSITION => {
-                let (tick, t) = decode_transition(&record.data).map_err(corrupt)?;
-                run.fleet_transitions.push((tick, t.from, t.to));
-            }
-            REC_LOAD_SHED => {
-                let mut dec = Dec::new(&record.data);
-                let tick = dec.u64().map_err(corrupt)?;
-                let tenant = dec.str().map_err(corrupt)?;
-                let sojourn = dec.u64().map_err(corrupt)?;
-                let seq = dec.u64().map_err(corrupt)?;
-                dec.finish().map_err(corrupt)?;
-                run.sheds.push((tick, tenant, sojourn, seq));
-            }
-            REC_CHUNK_ADMIT => {
-                let mut dec = Dec::new(&record.data);
-                let admit = ChunkAdmit {
-                    tick: dec.u64().map_err(corrupt)?,
-                    tenant: dec.str().map_err(corrupt)?,
-                    seq: dec.u64().map_err(corrupt)?,
-                    cost: dec.u64().map_err(corrupt)?,
-                };
-                dec.finish().map_err(corrupt)?;
-                run.admits.push(admit);
-            }
-            REC_CHUNK_SERVE => {
-                let mut dec = Dec::new(&record.data);
-                let serve = ChunkServe {
-                    tick: dec.u64().map_err(corrupt)?,
-                    tenant: dec.str().map_err(corrupt)?,
-                    seq: dec.u64().map_err(corrupt)?,
-                };
-                dec.finish().map_err(corrupt)?;
-                run.serves.push(serve);
-            }
-            REC_SHARD_LEDGER => {
-                let mut dec = Dec::new(&record.data);
-                let ledger = LedgerRecord {
-                    tick: dec.u64().map_err(corrupt)?,
-                    offered: dec.u64().map_err(corrupt)?,
-                    served: dec.u64().map_err(corrupt)?,
-                    rejected: dec.u64().map_err(corrupt)?,
-                    shed: dec.u64().map_err(corrupt)?,
-                    queued: dec.u64().map_err(corrupt)?,
-                    migrated: dec.u64().map_err(corrupt)?,
-                };
-                dec.finish().map_err(corrupt)?;
-                run.ledgers.push(ledger);
-            }
-            REC_DURABILITY => {
-                let (tick, t) = decode_transition(&record.data).map_err(corrupt)?;
-                run.durability_transitions.push((tick, t.from, t.to));
-            }
-            REC_FENCE_EPOCH => {
-                let mut dec = Dec::new(&record.data);
-                let token = dec.u64().map_err(corrupt)?;
-                dec.finish().map_err(corrupt)?;
-                run.fence_token = Some(token);
-            }
-            REC_RUN_SUMMARY => run.complete = true,
-            other => {
-                return Err(DurableError::Corrupt {
-                    path: path.display().to_string(),
-                    offset: 0,
-                    detail: format!("unknown service record kind {other}"),
-                })
-            }
+        if record.seq > next_seq {
+            gaps.push(Defect::RecordGap {
+                path: path.display().to_string(),
+                seq: next_seq,
+                missing: record.seq - next_seq,
+            });
+        }
+        next_seq = record.seq + 1;
+        replay_record(&mut run, record.kind, &record.data).map_err(corrupt)?;
+    }
+    Ok((run, gaps.into_iter().chain(defects).collect()))
+}
+
+/// Decodes one service record of `kind` into `run`.
+fn replay_record(run: &mut RecoveredRun, kind: u8, data: &[u8]) -> Result<(), WireError> {
+    let dec = &mut Dec::new(data);
+    match kind {
+        REC_EMISSION => {
+            let region = run.emissions.len() as u64 + 1;
+            run.emissions.push(decode_emission(region, dec)?);
+        }
+        REC_TRANSITION => run.transitions.push(decode_transition(dec)?),
+        REC_FLEET_TRANSITION => {
+            let (tick, t) = decode_transition(dec)?;
+            run.fleet_transitions.push((tick, t.from, t.to));
+        }
+        REC_LOAD_SHED => run.sheds.push((dec.u64()?, dec.str()?, dec.u64()?, dec.u64()?)),
+        REC_CHUNK_ADMIT => run.admits.push(ChunkAdmit {
+            tick: dec.u64()?,
+            tenant: dec.str()?,
+            seq: dec.u64()?,
+            cost: dec.u64()?,
+        }),
+        REC_CHUNK_SERVE => {
+            run.serves.push(ChunkServe { tick: dec.u64()?, tenant: dec.str()?, seq: dec.u64()? })
+        }
+        REC_SHARD_LEDGER => run.ledgers.push(LedgerRecord {
+            tick: dec.u64()?,
+            offered: dec.u64()?,
+            served: dec.u64()?,
+            rejected: dec.u64()?,
+            shed: dec.u64()?,
+            queued: dec.u64()?,
+            migrated: dec.u64()?,
+        }),
+        REC_DURABILITY => {
+            let (tick, t) = decode_transition(dec)?;
+            run.durability_transitions.push((tick, t.from, t.to));
+        }
+        REC_FENCE_EPOCH => run.fence_token = Some(dec.u64()?),
+        // The summary's presence is the signal; its body is not replayed.
+        REC_RUN_SUMMARY => {
+            run.complete = true;
+            return Ok(());
+        }
+        other => {
+            let detail = format!("unknown service record kind {other}");
+            return Err(WireError { offset: 0, detail });
         }
     }
-    Ok((run, defects))
+    dec.finish()
 }
 
 #[cfg(test)]
@@ -1171,20 +1077,10 @@ mod tests {
         // Healthy replica: scrub is a no-op.
         assert!(sink.scrub_replica().is_empty());
 
-        // Chop the replica's last record: pure lag.
+        // Chop the replica's last record: pure lag. Emission frames all
+        // have one length, after the 6-byte header.
         let bytes = std::fs::read(&replica).unwrap();
-        let (one_record, _) = {
-            let sink2 = DurableSink::create(&dir.join("probe.log")).unwrap();
-            sink2.record_emission(&emission(1));
-            drop(sink2);
-            Journal::verify(&dir.join("probe.log")).unwrap()
-        };
-        let _ = one_record;
-        // A record frame is identical for both appends of the same payload;
-        // trim the replica back to half its records by byte length of the
-        // primary's first append.
-        let first_len = std::fs::metadata(dir.join("probe.log")).unwrap().len();
-        std::fs::write(&replica, &bytes[..first_len as usize]).unwrap();
+        std::fs::write(&replica, &bytes[..6 + (bytes.len() - 6) / 2]).unwrap();
         let defects = sink.scrub_replica();
         assert!(
             defects.iter().any(|d| matches!(d, Defect::ReplicaLag { missing: 1, .. })),
@@ -1334,22 +1230,18 @@ mod tests {
         let plain = dir.join("plain.log");
         let gauged = dir.join("gauged.log");
         let a = DurableSink::create(&plain).unwrap();
-        let b = DurableSink::create_with(
-            &gauged,
-            Arc::new(FaultVfs::new(FaultPlan::quiet(42))),
-            Some(DiskGaugeConfig::default()),
-        )
-        .unwrap();
+        let quiet = Arc::new(FaultVfs::new(FaultPlan::quiet(42)));
+        let b = DurableSink::create_with(&gauged, None, quiet, DiskGaugeConfig::default()).unwrap();
         for sink in [&a, &b] {
             sink.record_emission(&emission(1));
             sink.record_shed(3, "amber", 2, 0);
             sink.finish(1, InferenceLevel::Classical);
             assert!(sink.take_error().is_none());
+            assert_eq!(sink.durability_level(), DurabilityLevel::Durable);
+            assert_eq!(sink.unjournaled(), 0);
+            assert!(sink.take_durability_transitions().is_empty());
         }
         assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&gauged).unwrap());
-        assert_eq!(b.durability_level(), Some(DurabilityLevel::Durable));
-        assert_eq!(b.unjournaled(), 0);
-        assert!(b.take_durability_transitions().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1376,7 +1268,7 @@ mod tests {
             stall_miss: 5,
         };
         let sink =
-            DurableSink::create_with(&path, Arc::new(FaultVfs::new(plan)), Some(gauge)).unwrap();
+            DurableSink::create_with(&path, None, Arc::new(FaultVfs::new(plan)), gauge).unwrap();
         for region in 1..=10 {
             sink.record_emission(&emission(region));
         }
@@ -1422,11 +1314,11 @@ mod tests {
             ..DiskGaugeConfig::default()
         };
         let sink =
-            DurableSink::create_with(&path, Arc::new(FaultVfs::new(plan)), Some(gauge)).unwrap();
+            DurableSink::create_with(&path, None, Arc::new(FaultVfs::new(plan)), gauge).unwrap();
         for region in 1..=20 {
             sink.record_emission(&emission(region));
         }
-        assert_eq!(sink.durability_level(), Some(DurabilityLevel::RefuseWrites));
+        assert_eq!(sink.durability_level(), DurabilityLevel::RefuseWrites);
         assert!(sink.take_error().is_none());
         assert!(sink.unjournaled() > 0);
         // Monotone under sustained pressure: the transition history only
@@ -1439,24 +1331,74 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Journals emissions 1..=40 with the primary's fsync failing on
+    /// emission 2 (an EIO from the dying disk: the failed sync poisons the
+    /// handle, so every later append on it fails too). Asserts that the
+    /// gauge leaves `Durable` and climbs back, and returns the record seq
+    /// the climb fired on; emission `r` is record `r - 1`.
+    fn journal_through_a_failed_fsync(sink: &DurableSink) -> u64 {
+        sink.record_emission(&emission(1));
+        sink.inner.lock().unwrap().journal.inject_fsync_failure();
+        for region in 2..=40 {
+            sink.record_emission(&emission(region));
+        }
+        assert!(sink.take_error().is_none(), "a disk error must feed the gauge, not latch");
+        let transitions = sink.take_durability_transitions();
+        let levels: Vec<_> = transitions.iter().map(|&(_, from, to)| (from, to)).collect();
+        use DurabilityLevel::{Durable, ReplicaOnly};
+        assert_eq!(levels, [(Durable, ReplicaOnly), (ReplicaOnly, Durable)], "{transitions:?}");
+        assert!(transitions[1].0 + 2 <= 40, "the climb came too late: {transitions:?}");
+        transitions[1].0
+    }
+
     #[test]
-    fn sink_latches_failure_instead_of_blocking_classification() {
-        let dir = scratch("latch");
+    fn failed_fsync_on_the_real_disk_degrades_and_climbs_back_instead_of_latching() {
+        let dir = scratch("fsync-fail");
         let path = dir.join("run.log");
         let sink = DurableSink::create(&path).unwrap();
-        sink.record_emission(&emission(1));
-        // Replace the journal file with a directory so the next fsync-ed
-        // append fails at the OS level.
-        std::fs::remove_file(&path).unwrap();
-        std::fs::create_dir(&path).unwrap();
-        sink.record_emission(&emission(2));
-        sink.record_emission(&emission(3));
-        let err = sink.take_error();
-        assert!(
-            matches!(err, Some(DurableError::Io { .. })) || err.is_none(),
-            "either the OS surfaces the swap or appends keep landing on the \
-             open handle; a panic is the only wrong answer: {err:?}"
-        );
+        let climb = journal_through_a_failed_fsync(&sink);
+        // The climb fired on a record no journal took and reopened the
+        // primary; every record from the failed fsync's up to it is
+        // unjournaled.
+        assert_eq!(sink.unjournaled(), climb, "records 1..={climb} reached no journal");
+        let (run, defects) = recover_run(&path).unwrap();
+        // The emission whose fsync failed is gone with the reopen: a record
+        // after it must never be durable while it is not.
+        let mut expected = vec![emission(1)];
+        expected.extend((climb + 2..=40).map(emission));
+        let latencies = |es: &[RegionEmission]| es.iter().map(|e| e.latency).collect::<Vec<_>>();
+        assert_eq!(latencies(&run.emissions), latencies(&expected));
+        // The hole is reported, so positional region numbers are known
+        // not to match past it.
+        let gap = Defect::RecordGap { path: path.display().to_string(), seq: 1, missing: climb };
+        assert_eq!(defects, [gap]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_journaled_on_the_replica_alone_survive_the_climb_scrub_and_rehome() {
+        let dir = scratch("replica-only");
+        let path = dir.join("run.log");
+        let replica = dir.join("run.replica.log");
+        let sink = DurableSink::create_replicated(&path, &replica).unwrap();
+        journal_through_a_failed_fsync(&sink);
+        assert_eq!(sink.unjournaled(), 0, "the replica journaled every record");
+        let all: Vec<_> = (1..=40).map(emission).collect();
+        let (primary_run, defects) = recover_run(&path).unwrap();
+        assert!(primary_run.emissions.len() < all.len());
+        assert!(matches!(defects.as_slice(), [Defect::RecordGap { seq: 1, .. }]), "{defects:?}");
+        // The replica holds every primary record and more: healthy, so
+        // the scrub leaves it alone instead of cutting it to the primary.
+        let before = std::fs::read(&replica).unwrap();
+        assert_eq!(sink.scrub_replica(), []);
+        assert_eq!(std::fs::read(&replica).unwrap(), before);
+        let (run, defects) = recover_run(&replica).unwrap();
+        assert!(defects.is_empty(), "{defects:?}");
+        assert_eq!(run.emissions, all);
+        // A rebalance moves the copy without losing the replica-only part.
+        let moved = dir.join("run.replica-moved.log");
+        sink.rehome_replica(Some(&moved));
+        assert_eq!(std::fs::read(&moved).unwrap(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
